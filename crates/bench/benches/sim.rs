@@ -27,8 +27,8 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use prevv::kernels::extra;
 use prevv::kernels::gen::{generate, GenConfig};
 use prevv::{
-    run_kernel_with, Controller, KernelSpec, MemTiming, PrevvConfig, PrevvMemory, Scheduler,
-    SimConfig, Simulator, SynthOptions,
+    run_kernel_with, Controller, KernelSpec, MemTiming, PrevvConfig, Scheduler, SimConfig,
+    Simulator, SynthOptions,
 };
 
 const N: i64 = 256;
@@ -96,10 +96,7 @@ fn gen_workloads() -> Vec<(KernelSpec, PrevvConfig)> {
 /// Returns (simulated cycles, seconds).
 fn run_once(spec: &KernelSpec, config: &PrevvConfig, scheduler: Scheduler) -> (u64, f64) {
     let mut synth = prevv::ir::synthesize(spec).expect("fig2a synthesizes");
-    let (ctrl, _ram, _stats) =
-        PrevvMemory::new(synth.interface.clone(), config.clone(), synth.bus.clone())
-            .expect("valid config");
-    synth.netlist.add("prevv", ctrl);
+    prevv::attach(&mut synth, &Controller::Prevv(config.clone())).expect("valid config");
     let mut sim = Simulator::new(synth.netlist, synth.bus)
         .expect("valid netlist")
         .with_config(SimConfig {

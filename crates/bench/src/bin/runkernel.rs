@@ -24,7 +24,7 @@
 
 use prevv::dataflow::trace::{to_vcd, TraceRecorder};
 use prevv::dataflow::{sweep, viz, Scheduler, SimConfig, Simulator};
-use prevv::{Controller, Lsq, LsqConfig, MemTiming, PrevvConfig, PrevvMemory};
+use prevv::{Controller, MemTiming, PrevvConfig};
 use rand::{Rng, SeedableRng};
 
 struct Args {
@@ -578,52 +578,11 @@ fn main() {
         .controller
         .area_kind()
         .map(|k| prevv::area::estimate(&synth, k));
-    let ram = match &args.controller {
-        Controller::Direct => {
-            let (c, ram) =
-                prevv::mem::DirectMemory::new(synth.interface.clone(), MemTiming::default());
-            synth.netlist.add("mem", c);
-            ram
-        }
-        Controller::Dynamatic { depth } => {
-            let (c, ram) = Lsq::new(synth.interface.clone(), LsqConfig::dynamatic(*depth))
-                .unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                });
-            synth.netlist.add("lsq", c);
-            ram
-        }
-        Controller::FastLsq { depth } => {
-            let (c, ram) = Lsq::new(synth.interface.clone(), LsqConfig::fast(*depth))
-                .unwrap_or_else(|e| {
-                    eprintln!("{e}");
-                    std::process::exit(1);
-                });
-            synth.netlist.add("lsq", c);
-            ram
-        }
-        Controller::SpecLsq { depth } => {
-            let (c, ram) = prevv::mem::SpecLsq::new(
-                synth.interface.clone(),
-                prevv::mem::SpecLsqConfig::speculative(*depth),
-            )
-            .unwrap_or_else(|e| {
-                eprintln!("{e}");
-                std::process::exit(1);
-            });
-            synth.netlist.add("spec_lsq", c);
-            ram
-        }
-        Controller::Prevv(cfg) => {
-            let (c, ram, _) =
-                PrevvMemory::new(synth.interface.clone(), cfg.clone(), synth.bus.clone())
-                    .unwrap_or_else(|e| {
-                        eprintln!("{e}");
-                        std::process::exit(1);
-                    });
-            synth.netlist.add("prevv", c);
-            ram
+    let ram = match prevv::attach(&mut synth, &args.controller) {
+        Ok(attached) => attached.ram,
+        Err(e) => {
+            eprintln!("{e}");
+            std::process::exit(1);
         }
     };
 

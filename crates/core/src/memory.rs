@@ -76,7 +76,9 @@ pub struct PrevvStats {
 /// Shared handle to the statistics, readable after simulation.
 pub type SharedPrevvStats = Rc<RefCell<PrevvStats>>;
 
-/// One squash, as recorded in the controller's event log.
+/// One violation, as recorded in the controller's event log. Violations
+/// detected in the same cycle merge into one squash (the earliest restart
+/// point wins), so the log can hold more events than there were squashes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SquashEvent {
     /// Controller cycle at which the violation was detected.
@@ -91,7 +93,7 @@ pub struct SquashEvent {
     pub distance: u64,
 }
 
-/// Shared handle to the squash event log.
+/// Shared handle to the squash event log: one [`SquashEvent`] per violation.
 pub type SharedSquashLog = Rc<RefCell<Vec<SquashEvent>>>;
 
 /// Errors raised when constructing a PreVV controller.
@@ -616,9 +618,10 @@ impl PrevvMemory {
         let Some(from) = self.pending_squash.take() else {
             return;
         };
-        self.bus.post(from);
+        let replayed = (self.max_arrived_iter + 1).saturating_sub(from);
+        self.bus.post(from, replayed);
         self.local.squashes += 1;
-        self.local.replayed_iters += (self.max_arrived_iter + 1).saturating_sub(from);
+        self.local.replayed_iters += replayed;
         let blame = self.squash_blame.entry(from).or_insert(0);
         *blame += 1;
         if *blame >= self.config.livelock_threshold {

@@ -306,7 +306,7 @@ impl Simulator {
             }
         }
 
-        let flushed = if let Some(from) = self.bus.take_pending(|_| 0) {
+        let flushed = if let Some(from) = self.bus.take_pending() {
             for c in self.netlist.components_mut() {
                 c.flush(from);
             }

@@ -44,17 +44,22 @@ impl SquashBus {
         self.inner.epoch.get()
     }
 
-    /// Posts a squash restarting execution from `from_iter`.
+    /// Posts a squash restarting execution from `from_iter`, which the
+    /// poster counts as `replayed` iterations to redo; the bus sums those
+    /// counts into [`replayed_iters`](Self::replayed_iters).
     ///
     /// If a squash is already pending this cycle, the earlier restart point
     /// wins (a single flush from the minimum faulting iteration subsumes
     /// both).
-    pub fn post(&self, from_iter: u64) {
+    pub fn post(&self, from_iter: u64, replayed: u64) {
         let cur = self.inner.pending.get();
         self.inner.pending.set(Some(match cur {
             Some(cur) => cur.min(from_iter),
             None => from_iter,
         }));
+        self.inner
+            .replayed_iters
+            .set(self.inner.replayed_iters.get() + replayed);
     }
 
     /// True if a squash has been posted and not yet applied.
@@ -64,14 +69,10 @@ impl SquashBus {
 
     /// Engine side: takes the pending squash, if any, bumping the epoch and
     /// recording statistics. Returns the iteration to restart from.
-    pub fn take_pending(&self, replay_span: impl FnOnce(u64) -> u64) -> Option<u64> {
+    pub fn take_pending(&self) -> Option<u64> {
         let from = self.inner.pending.take()?;
         self.inner.epoch.set(self.inner.epoch.get() + 1);
         self.inner.squashes.set(self.inner.squashes.get() + 1);
-        let span = replay_span(from);
-        self.inner
-            .replayed_iters
-            .set(self.inner.replayed_iters.get() + span);
         Some(from)
     }
 
@@ -80,7 +81,8 @@ impl SquashBus {
         self.inner.squashes.get()
     }
 
-    /// Total number of iterations that had to be replayed.
+    /// Total number of iterations that had to be replayed, as counted by
+    /// the posters.
     pub fn replayed_iters(&self) -> u64 {
         self.inner.replayed_iters.get()
     }
@@ -94,9 +96,9 @@ mod tests {
     fn post_and_take_round_trip() {
         let bus = SquashBus::new();
         assert!(!bus.has_pending());
-        bus.post(7);
+        bus.post(7, 3);
         assert!(bus.has_pending());
-        let from = bus.take_pending(|f| 10 - f);
+        let from = bus.take_pending();
         assert_eq!(from, Some(7));
         assert_eq!(bus.epoch(), 1);
         assert_eq!(bus.squash_count(), 1);
@@ -107,19 +109,21 @@ mod tests {
     #[test]
     fn earlier_restart_wins_when_double_posted() {
         let bus = SquashBus::new();
-        bus.post(9);
-        bus.post(4);
-        bus.post(12);
-        assert_eq!(bus.take_pending(|_| 0), Some(4));
+        bus.post(9, 1);
+        bus.post(4, 6);
+        bus.post(12, 0);
+        assert_eq!(bus.take_pending(), Some(4));
+        assert_eq!(bus.squash_count(), 1, "one flush subsumes all three");
+        assert_eq!(bus.replayed_iters(), 7, "every poster's count is summed");
     }
 
     #[test]
     fn clones_share_state() {
         let a = SquashBus::new();
         let b = a.clone();
-        b.post(2);
+        b.post(2, 1);
         assert!(a.has_pending());
-        a.take_pending(|_| 1);
+        a.take_pending();
         assert_eq!(b.epoch(), 1);
     }
 }

@@ -40,7 +40,10 @@ impl Component for ScriptedSquasher {
             self.seen.borrow_mut().push(t);
             if t.tag.iter == self.trigger_at && self.fires < self.max_fires {
                 self.fires += 1;
-                self.bus.post(self.squash_from);
+                // Replays everything from the restart point through the
+                // trigger.
+                let replayed = (self.trigger_at + 1).saturating_sub(self.squash_from);
+                self.bus.post(self.squash_from, replayed);
             }
         }
         false

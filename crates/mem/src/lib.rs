@@ -6,9 +6,11 @@
 //! * [`PortIo`] — the channel adapter every controller is built on;
 //! * [`DirectMemory`] — no disambiguation at all (demonstrates why
 //!   dynamically scheduled circuits mis-execute without an LSQ);
-//! * [`Lsq`] — the Dynamatic-style load-store queue \[15\] with group
-//!   allocation, associative search, store-to-load forwarding and in-order
-//!   commit; [`LsqConfig::fast`] models the fast-allocation plugin \[8\].
+//! * [`Lsq`] — the load-store queue baselines: associative search,
+//!   store-to-load forwarding and in-order commit, with one [`Allocation`]
+//!   policy per baseline — Dynamatic \[15\] ([`LsqConfig::dynamatic`]), the
+//!   fast-allocation plugin \[8\] ([`LsqConfig::fast`]) and the
+//!   speculative allocator of Szafarczyk et al. ([`LsqConfig::speculative`]).
 //!
 //! The PreVV controller itself lives in `prevv-core` and plugs into the same
 //! [`MemoryInterface`](prevv_ir::MemoryInterface).
@@ -29,7 +31,7 @@
 //!     vec![Stmt::store(a, Expr::var(0), Expr::load(a, Expr::var(0)).add(Expr::lit(1)))],
 //! )?;
 //! let mut circuit = synthesize(&spec)?;
-//! let (lsq, ram) = Lsq::new(circuit.interface.clone(), LsqConfig::dynamatic(16))?;
+//! let (lsq, ram, _stats) = Lsq::with_stats(circuit.interface.clone(), LsqConfig::dynamatic(16))?;
 //! circuit.netlist.add("lsq", lsq);
 //! let mut sim = Simulator::new(circuit.netlist, circuit.bus)?;
 //! sim.run()?;
@@ -46,14 +48,22 @@ mod direct;
 mod lsq;
 mod portio;
 mod ram;
-mod spec_alloc;
 
 pub use delay::DelayLine;
 pub use direct::DirectMemory;
-pub use lsq::{Lsq, LsqConfig, LsqError, LsqStats, SharedLsqStats};
+pub use lsq::{Allocation, Lsq, LsqConfig, LsqError, LsqStats, SharedLsqStats};
 pub use portio::{PortIo, DEFAULT_IO_CAPACITY};
 pub use ram::{shared, Ram, SharedRam};
-pub use spec_alloc::{SpecLsq, SpecLsqConfig, SpecStats};
+
+/// The speculative-allocation LSQ: [`Lsq`] under
+/// [`Allocation::Speculative`]. Kept so the benchmark, which names it, still
+/// builds.
+pub type SpecLsq = Lsq;
+
+/// Configuration of [`SpecLsq`]: [`LsqConfig`], built by
+/// [`LsqConfig::speculative`]. Kept so the benchmark, which names it, still
+/// builds.
+pub type SpecLsqConfig = LsqConfig;
 
 /// RAM timing and port bandwidth shared by all controllers.
 ///

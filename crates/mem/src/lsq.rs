@@ -1,14 +1,28 @@
-//! The load-store queue baseline — the component PreVV eliminates.
+//! The load-store queue baselines — the component PreVV eliminates.
 //!
-//! Models the Dynamatic LSQ of Josipović et al. \[15\]/\[4\]: a **group
-//! allocator** receives one token per iteration in program order and
-//! reserves, atomically, one entry per static memory op of that iteration
-//! (the program-order ROM), a **load queue** and **store queue** hold the
-//! in-flight ops, loads perform an **associative search** of older stores
-//! (wait on unknown addresses, forward on a match), and stores commit to RAM
-//! strictly in order from the queue head. The fast-allocation variant of
-//! Elakhras et al. \[8\] ("straight to the queue") is the same machine with
-//! zero allocation latency — see [`LsqConfig::fast`].
+//! Models the Dynamatic LSQ of Josipović et al. \[15\]/\[4\]: entries are
+//! reserved one **group** per iteration, one entry per static memory op of
+//! that iteration (the program-order ROM); a **load queue** and **store
+//! queue** hold the in-flight ops, loads perform an **associative search**
+//! of older stores (wait on unknown addresses, forward on a match), and
+//! stores commit to RAM strictly in order from the queue head.
+//!
+//! The three baselines differ only in the [`Allocation`] policy:
+//!
+//! * [`Allocation::Group`] reserves an iteration's entries `latency` cycles
+//!   after its allocation token arrives: plain Dynamatic \[15\] routes the
+//!   token through the control network ([`LsqConfig::dynamatic`]), the
+//!   fast-allocation plugin of Elakhras et al. \[8\] delivers it straight to
+//!   the queue ([`LsqConfig::fast`]).
+//! * [`Allocation::Speculative`] is the high-frequency LSQ of Szafarczyk et
+//!   al. (FPL'23, arXiv 2311.08198): groups for future iterations are
+//!   reserved in program order ahead of their tokens, up to a window past
+//!   the iterations the tokens have confirmed ([`LsqConfig::speculative`]),
+//!   so the allocator is off the critical path. Speculation is clamped to
+//!   the kernel's static iteration count, so no entry is ever misspeculated.
+//!
+//! The oracle in `prevv::diffcheck` holds every policy plus PreVV to
+//! byte-identical results.
 //!
 //! The resource cost of all this — per-entry CAM comparators, allocation
 //! logic, wide priority encoders — is what Fig. 1 of the paper shows
@@ -16,6 +30,7 @@
 //! it from this crate's configuration.
 
 use std::cell::RefCell;
+use std::collections::VecDeque;
 use std::rc::Rc;
 
 use prevv_dataflow::{Component, Ports, Signals, Tag, Token, Value};
@@ -26,29 +41,45 @@ use crate::portio::PortIo;
 use crate::ram::{shared, Ram, SharedRam};
 use crate::MemTiming;
 
-/// Configuration of the LSQ baseline.
+/// How an [`Lsq`] reserves its entry groups, one group per iteration.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Allocation {
+    /// Group allocation on the iteration's allocation token.
+    Group {
+        /// Cycles between an iteration's allocation token arriving and its
+        /// entries being usable. Plain Dynamatic routes allocation requests
+        /// through the control network (several cycles); the
+        /// fast-allocation plugin \[8\] delivers them straight to the queue.
+        latency: u32,
+    },
+    /// Speculative allocation ahead of the allocation tokens.
+    Speculative {
+        /// How many iterations may be allocated beyond the last confirmed
+        /// one.
+        window: usize,
+    },
+}
+
+/// Configuration of an LSQ baseline.
 #[derive(Debug, Clone)]
 pub struct LsqConfig {
     /// Load queue entries.
     pub load_depth: usize,
     /// Store queue entries.
     pub store_depth: usize,
-    /// Cycles between an iteration's allocation token arriving and its
-    /// entries being usable. Plain Dynamatic routes allocation requests
-    /// through the control network (several cycles); the fast-allocation
-    /// plugin \[8\] delivers them straight to the queue.
-    pub alloc_latency: u32,
+    /// How entry groups are allocated.
+    pub allocation: Allocation,
     /// RAM timing and port bandwidth.
     pub timing: MemTiming,
 }
 
 impl LsqConfig {
-    /// Plain Dynamatic \[15\]: depth-16 queues, slow allocation path.
+    /// Plain Dynamatic \[15\]: depth-`depth` queues, slow allocation path.
     pub fn dynamatic(depth: usize) -> Self {
         LsqConfig {
             load_depth: depth,
             store_depth: depth,
-            alloc_latency: 3,
+            allocation: Allocation::Group { latency: 3 },
             timing: MemTiming::default(),
         }
     }
@@ -57,7 +88,16 @@ impl LsqConfig {
     /// delivered straight to the queue.
     pub fn fast(depth: usize) -> Self {
         LsqConfig {
-            alloc_latency: 0,
+            allocation: Allocation::Group { latency: 0 },
+            ..Self::dynamatic(depth)
+        }
+    }
+
+    /// Speculative allocation: same queues, with a speculation window of
+    /// the same size.
+    pub fn speculative(depth: usize) -> Self {
+        LsqConfig {
+            allocation: Allocation::Speculative { window: depth },
             ..Self::dynamatic(depth)
         }
     }
@@ -140,12 +180,103 @@ pub struct LsqStats {
     pub ram_writes: u64,
     /// Cycles in which allocation stalled for lack of queue space.
     pub alloc_stall_cycles: u64,
+    /// Cycles in which allocation was blocked by the speculation window
+    /// rather than queue capacity (always 0 under [`Allocation::Group`]).
+    pub window_stall_cycles: u64,
     /// Peak combined queue occupancy (loads + stores).
     pub high_water: usize,
 }
 
 /// Shared handle to LSQ statistics, readable after simulation.
 pub type SharedLsqStats = Rc<RefCell<LsqStats>>;
+
+/// The run-time state of the [`Allocation`] policy.
+#[derive(Debug)]
+enum Allocator {
+    Group {
+        latency: u32,
+        /// Allocation tokens in flight to the queue.
+        delay: DelayLine<Token>,
+        /// Tokens that arrived, waiting for queue space.
+        ready: VecDeque<Token>,
+    },
+    Speculative {
+        window: u64,
+        /// Next iteration to allocate (program order).
+        next_iter: u64,
+        /// Iterations confirmed by drained allocation tokens.
+        confirmed: u64,
+        /// Total iterations in the kernel — speculation never runs past
+        /// the end.
+        total_iters: u64,
+    },
+}
+
+impl Allocator {
+    /// Feeds this cycle's allocation token, if any.
+    fn receive(&mut self, token: Option<Token>) {
+        match self {
+            Allocator::Group {
+                latency,
+                delay,
+                ready,
+            } => {
+                if let Some(t) = token {
+                    delay.push(*latency, t);
+                }
+                ready.extend(delay.tick());
+            }
+            // Confirmation tokens merely advance the speculation window;
+            // they gate nothing else, which is the whole point of the
+            // design.
+            Allocator::Speculative { confirmed, .. } => {
+                if token.is_some() {
+                    *confirmed += 1;
+                }
+            }
+        }
+    }
+
+    /// Tokens that arrived but hold no entries yet, and whether more are
+    /// still in flight to the queue.
+    fn backlog(&self) -> (usize, bool) {
+        match self {
+            Allocator::Group { delay, ready, .. } => (ready.len(), !delay.is_empty()),
+            Allocator::Speculative { .. } => (0, false),
+        }
+    }
+
+    /// Everything `commit` compares before and after a cycle to tell the
+    /// scheduler the allocator moved.
+    fn progress(&self) -> (usize, u64, u64) {
+        match self {
+            Allocator::Group { ready, .. } => (ready.len(), 0, 0),
+            Allocator::Speculative {
+                next_iter,
+                confirmed,
+                ..
+            } => (0, *next_iter, *confirmed),
+        }
+    }
+
+    fn flush(&mut self, from_iter: u64) {
+        match self {
+            Allocator::Group { delay, ready, .. } => {
+                ready.retain(|t| t.tag.iter < from_iter);
+                delay.flush_if(|t| t.tag.iter >= from_iter);
+            }
+            // Roll the speculation pointer back with the queues.
+            Allocator::Speculative {
+                next_iter,
+                confirmed,
+                ..
+            } => {
+                *next_iter = (*next_iter).min(from_iter);
+                *confirmed = (*confirmed).min(from_iter);
+            }
+        }
+    }
+}
 
 /// The load-store queue controller.
 #[derive(Debug)]
@@ -155,13 +286,11 @@ pub struct Lsq {
     config: LsqConfig,
     lq: Vec<Entry>,
     sq: Vec<Entry>,
-    alloc_delay: DelayLine<Token>,
-    ready_allocs: std::collections::VecDeque<Token>,
+    alloc: Allocator,
     reads: DelayLine<(usize, u64, u32, Value)>,
     loads_per_iter: usize,
     stores_per_iter: usize,
-    stats: LsqStats,
-    shared: SharedLsqStats,
+    stats: SharedLsqStats,
     /// Did the last commit mutate the io adapter — the only state `eval`
     /// reads? Backs [`Component::eval_invalidated`].
     eval_dirty: bool,
@@ -169,18 +298,8 @@ pub struct Lsq {
 
 impl Lsq {
     /// Creates an LSQ over a fresh RAM initialized from the interface's
-    /// array images.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`LsqError`] if one iteration's ops cannot fit the queues.
-    pub fn new(iface: MemoryInterface, config: LsqConfig) -> Result<(Self, SharedRam), LsqError> {
-        let (lsq, ram, _) = Self::with_stats(iface, config)?;
-        Ok((lsq, ram))
-    }
-
-    /// Like [`Lsq::new`], additionally returning a shared statistics handle
-    /// that stays readable after the component is moved into a netlist.
+    /// array images. Returns the RAM and a shared statistics handle, both
+    /// readable after the component is moved into a netlist.
     ///
     /// # Errors
     ///
@@ -205,6 +324,19 @@ impl Lsq {
         }
         let ram = shared(Ram::new(iface.initial_ram()));
         let stats_handle = Rc::new(RefCell::new(LsqStats::default()));
+        let alloc = match config.allocation {
+            Allocation::Group { latency } => Allocator::Group {
+                latency,
+                delay: DelayLine::new(),
+                ready: VecDeque::new(),
+            },
+            Allocation::Speculative { window } => Allocator::Speculative {
+                window: window as u64,
+                next_iter: 0,
+                confirmed: 0,
+                total_iters: iface.iterations as u64,
+            },
+        };
         Ok((
             Lsq {
                 io: PortIo::new(iface),
@@ -212,13 +344,11 @@ impl Lsq {
                 config,
                 lq: Vec::new(),
                 sq: Vec::new(),
-                alloc_delay: DelayLine::new(),
-                ready_allocs: std::collections::VecDeque::new(),
+                alloc,
                 reads: DelayLine::new(),
                 loads_per_iter,
                 stores_per_iter,
-                stats: LsqStats::default(),
-                shared: stats_handle.clone(),
+                stats: stats_handle.clone(),
                 eval_dirty: true,
             },
             ram,
@@ -226,27 +356,46 @@ impl Lsq {
         ))
     }
 
-    /// LSQ-specific statistics.
-    pub fn stats(&self) -> LsqStats {
-        self.stats
-    }
-
-    /// Current queue occupancies `(loads, stores)`.
-    pub fn queue_occupancy(&self) -> (usize, usize) {
-        (self.lq.len(), self.sq.len())
-    }
-
-    fn allocate_ready(&mut self) {
-        while let Some(front) = self.ready_allocs.front() {
-            let can = self.lq.len() + self.loads_per_iter <= self.config.load_depth
+    /// Reserves entry groups in program order until the allocator runs out
+    /// of iterations, hits the speculation window, or the queues fill up.
+    fn allocate(&mut self) {
+        loop {
+            let (iter, tag) = match &self.alloc {
+                Allocator::Group { ready, .. } => match ready.front() {
+                    Some(t) => (t.tag.iter, t.tag),
+                    None => break,
+                },
+                Allocator::Speculative {
+                    window,
+                    next_iter,
+                    confirmed,
+                    total_iters,
+                } => {
+                    if next_iter >= total_iters {
+                        break;
+                    }
+                    if *next_iter >= confirmed + window {
+                        self.stats.borrow_mut().window_stall_cycles += 1;
+                        break;
+                    }
+                    // Placeholder tag: overwritten by the address token (or
+                    // unused — cancelled loads answer with the fake token's
+                    // tag), so it never reaches a result channel.
+                    (*next_iter, Tag::new(*next_iter))
+                }
+            };
+            let fits = self.lq.len() + self.loads_per_iter <= self.config.load_depth
                 && self.sq.len() + self.stores_per_iter <= self.config.store_depth;
-            if !can {
-                self.stats.alloc_stall_cycles += 1;
+            if !fits {
+                self.stats.borrow_mut().alloc_stall_cycles += 1;
                 break;
             }
-            let iter = front.tag.iter;
-            let tag = front.tag;
-            self.ready_allocs.pop_front();
+            match &mut self.alloc {
+                Allocator::Group { ready, .. } => {
+                    ready.pop_front();
+                }
+                Allocator::Speculative { next_iter, .. } => *next_iter += 1,
+            }
             for p in 0..self.io.port_count() {
                 let op = &self.io.port(p).op;
                 let entry = Entry {
@@ -363,7 +512,7 @@ impl Lsq {
                     l.data = Some(v);
                     let (port, tag) = (l.port, l.tag);
                     self.io.push_result(port, Token::tagged(v, tag));
-                    self.stats.forwards += 1;
+                    self.stats.borrow_mut().forwards += 1;
                 }
                 Some((_, _, None)) => {
                     // Matching older store whose data is not ready: wait.
@@ -379,7 +528,7 @@ impl Lsq {
                         self.config.timing.read_latency,
                         (l.port, l.iter, l.seq, value),
                     );
-                    self.stats.ram_reads += 1;
+                    self.stats.borrow_mut().ram_reads += 1;
                     budget -= 1;
                 }
             }
@@ -401,7 +550,7 @@ impl Lsq {
                         break;
                     }
                     self.ram.borrow_mut().write(addr, data);
-                    self.stats.ram_writes += 1;
+                    self.stats.borrow_mut().ram_writes += 1;
                     budget -= 1;
                     self.sq.remove(0);
                 }
@@ -422,7 +571,10 @@ impl Lsq {
 
 impl Component for Lsq {
     fn type_name(&self) -> &'static str {
-        "lsq"
+        match self.alloc {
+            Allocator::Group { .. } => "lsq",
+            Allocator::Speculative { .. } => "spec_lsq",
+        }
     }
 
     fn ports(&self) -> Ports {
@@ -435,12 +587,12 @@ impl Component for Lsq {
 
     fn commit(&mut self, sig: &Signals) -> bool {
         // Occupied delay lines tick below even when nothing else moves, and
-        // queue-length changes catch entry motion that bypasses the io
-        // queues; together with the io dirty flag this is an honest
-        // changed-signal for the scheduler/watchdog (the stats mirror below
-        // is bookkeeping and deliberately excluded).
-        let ticking = !self.alloc_delay.is_empty() || !self.reads.is_empty();
-        let lens = (self.lq.len(), self.sq.len(), self.ready_allocs.len());
+        // queue-length and allocator changes catch entry motion that
+        // bypasses the io queues; together with the io dirty flag this is
+        // an honest changed-signal for the scheduler/watchdog (the stats
+        // update below is bookkeeping and deliberately excluded).
+        let ticking = self.alloc.backlog().1 || !self.reads.is_empty();
+        let before = (self.lq.len(), self.sq.len(), self.alloc.progress());
         self.io.commit_io(sig);
 
         // Read completions (issued `read_latency` cycles ago).
@@ -457,26 +609,22 @@ impl Component for Lsq {
             }
         }
 
-        // Group allocation pipeline.
-        if let Some(t) = self.io.take_alloc() {
-            self.alloc_delay.push(self.config.alloc_latency, t);
-        }
-        self.ready_allocs.extend(self.alloc_delay.tick());
-        self.allocate_ready();
+        self.alloc.receive(self.io.take_alloc());
+        self.allocate();
 
         self.ingest_arrivals();
         self.issue_loads();
         self.commit_stores();
         self.dealloc_loads();
-        self.stats.high_water = self.stats.high_water.max(self.lq.len() + self.sq.len());
-        *self.shared.borrow_mut() = self.stats;
+        let mut stats = self.stats.borrow_mut();
+        stats.high_water = stats.high_water.max(self.lq.len() + self.sq.len());
 
         self.eval_dirty = self.io.take_dirty();
         self.eval_dirty
             || ticking
-            || !self.alloc_delay.is_empty()
+            || self.alloc.backlog().1
             || !self.reads.is_empty()
-            || lens != (self.lq.len(), self.sq.len(), self.ready_allocs.len())
+            || before != (self.lq.len(), self.sq.len(), self.alloc.progress())
     }
 
     fn eval_invalidated(&self) -> bool {
@@ -484,14 +632,14 @@ impl Component for Lsq {
     }
 
     fn flush(&mut self, from_iter: u64) {
-        // The LSQ never speculates, so it never receives a squash in normal
-        // operation; this keeps the component well-behaved if one arrives.
+        // The LSQ never speculates on data, so it never receives a squash in
+        // normal operation; this keeps the component well-behaved if one
+        // arrives.
         self.eval_dirty = true;
         self.io.flush(from_iter);
         self.lq.retain(|e| e.iter < from_iter);
         self.sq.retain(|e| e.iter < from_iter);
-        self.ready_allocs.retain(|t| t.tag.iter < from_iter);
-        self.alloc_delay.flush_if(|t| t.tag.iter >= from_iter);
+        self.alloc.flush(from_iter);
         self.reads.flush_if(|&(_, iter, _, _)| iter >= from_iter);
     }
 
@@ -499,13 +647,12 @@ impl Component for Lsq {
         self.io.is_idle()
             && self.lq.is_empty()
             && self.sq.is_empty()
-            && self.ready_allocs.is_empty()
-            && self.alloc_delay.is_empty()
+            && self.alloc.backlog() == (0, false)
             && self.reads.is_empty()
     }
 
     fn occupancy(&self) -> usize {
-        self.io.occupancy() + self.lq.len() + self.sq.len() + self.ready_allocs.len()
+        self.io.occupancy() + self.lq.len() + self.sq.len() + self.alloc.backlog().0
     }
 
     fn capacity(&self) -> usize {
@@ -516,14 +663,25 @@ impl Component for Lsq {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use prevv_dataflow::components::LoopLevel;
-    use prevv_dataflow::{SimConfig, Simulator};
-    use prevv_ir::{golden, synthesize, ArrayDecl, ArrayId, Expr, KernelSpec, Stmt};
+    use prevv_dataflow::{SimConfig, SimReport, Simulator};
+    use prevv_ir::{golden, synthesize, KernelSpec};
+    use prevv_kernels::extra;
 
-    fn run_lsq(spec: &KernelSpec, config: LsqConfig) -> (Vec<Vec<i64>>, prevv_dataflow::SimReport) {
+    /// Every allocation policy at depth 16: Dynamatic, fast, speculative.
+    fn policies() -> [LsqConfig; 3] {
+        [
+            LsqConfig::dynamatic(16),
+            LsqConfig::fast(16),
+            LsqConfig::speculative(16),
+        ]
+    }
+
+    /// Simulates `spec` on an LSQ, asserting the result matches golden.
+    fn run_lsq(spec: &KernelSpec, config: LsqConfig) -> (SimReport, LsqStats) {
+        let allocation = config.allocation;
         let mut s = synthesize(spec).expect("synth");
-        let (ctrl, ram) = Lsq::new(s.interface.clone(), config).expect("fits");
-        s.netlist.add("lsq", ctrl);
+        let (ctrl, ram, stats) = Lsq::with_stats(s.interface.clone(), config).expect("fits");
+        s.netlist.add(ctrl.type_name(), ctrl);
         let mut sim = Simulator::new(s.netlist, s.bus)
             .expect("valid netlist")
             .with_config(SimConfig {
@@ -532,142 +690,116 @@ mod tests {
                 ..SimConfig::default()
             });
         let report = sim.run().expect("completes");
-        let ram = ram.borrow();
-        let arrays = s
+        let arrays: Vec<Vec<i64>> = s
             .interface
-            .split_ram(ram.image())
+            .split_ram(ram.borrow().image())
             .into_iter()
             .map(<[i64]>::to_vec)
             .collect();
-        (arrays, report)
-    }
-
-    /// The reduction that breaks DirectMemory.
-    fn reduction() -> KernelSpec {
-        let s = ArrayId(0);
-        KernelSpec::new(
-            "reduce",
-            vec![LoopLevel::upto(32)],
-            vec![ArrayDecl::zeroed("s", 4)],
-            vec![Stmt::store(
-                s,
-                Expr::lit(0),
-                Expr::load(s, Expr::lit(0)).add(Expr::var(0)),
-            )],
-        )
-        .expect("valid")
+        assert_eq!(arrays, golden::execute(spec).arrays, "{allocation:?}");
+        let stats = *stats.borrow();
+        (report, stats)
     }
 
     #[test]
-    fn lsq_fixes_the_loop_carried_reduction() {
-        let spec = reduction();
-        let gold = golden::execute(&spec);
-        let (arrays, _) = run_lsq(&spec, LsqConfig::dynamatic(16));
-        assert_eq!(arrays[0], gold.array(ArrayId(0)));
+    fn every_policy_fixes_the_loop_carried_reduction() {
+        // The reduction that breaks DirectMemory.
+        for cfg in policies() {
+            run_lsq(&extra::serial_reduction(32), cfg);
+        }
     }
 
     #[test]
-    fn fast_allocation_is_not_slower() {
-        let spec = reduction();
-        let (_, slow) = run_lsq(&spec, LsqConfig::dynamatic(16));
-        let (_, fast) = run_lsq(&spec, LsqConfig::fast(16));
-        assert!(
-            fast.cycles <= slow.cycles,
-            "fast allocation [8] must not lose to plain Dynamatic [15]: {} vs {}",
-            fast.cycles,
-            slow.cycles
-        );
+    fn every_policy_handles_runtime_indices() {
+        for cfg in policies() {
+            run_lsq(&extra::histogram(48, 8, 11), cfg);
+        }
     }
 
     #[test]
-    fn histogram_with_runtime_indices_is_correct() {
-        use prevv_ir::OpaqueFn;
-        let h = ArrayId(0);
-        let spec = KernelSpec::new(
-            "hist",
-            vec![LoopLevel::upto(48)],
-            vec![ArrayDecl::zeroed("h", 8)],
-            vec![Stmt::store(
-                h,
-                Expr::var(0).opaque(OpaqueFn::new(11, 8)),
-                Expr::load(h, Expr::var(0).opaque(OpaqueFn::new(11, 8))).add(Expr::lit(1)),
-            )],
-        )
-        .expect("valid");
-        let gold = golden::execute(&spec);
-        let (arrays, _) = run_lsq(&spec, LsqConfig::dynamatic(16));
-        assert_eq!(arrays[0], gold.array(ArrayId(0)));
-        let total: i64 = arrays[0].iter().sum();
-        assert_eq!(total, 48);
-    }
-
-    #[test]
-    fn guarded_kernel_with_fakes_completes_on_lsq() {
-        use prevv_dataflow::components::BinOp;
-        let a = ArrayId(0);
-        let spec = KernelSpec::new(
-            "guarded",
-            vec![LoopLevel::upto(16)],
-            vec![ArrayDecl::zeroed("a", 16)],
-            vec![Stmt::guarded(
-                a,
-                Expr::var(0),
-                Expr::load(a, Expr::var(0)).add(Expr::lit(5)),
-                Expr::bin(
-                    BinOp::Eq,
-                    Expr::bin(BinOp::Rem, Expr::var(0), Expr::lit(2)),
-                    Expr::lit(0),
-                ),
-            )],
-        )
-        .expect("valid");
-        let gold = golden::execute(&spec);
-        let (arrays, _) = run_lsq(&spec, LsqConfig::dynamatic(16));
-        assert_eq!(arrays[0], gold.array(ArrayId(0)));
+    fn every_policy_completes_guarded_kernels_with_fakes() {
+        for cfg in policies() {
+            run_lsq(&extra::guarded_update(16, 2), cfg);
+        }
     }
 
     #[test]
     fn shallow_queue_is_rejected_when_iteration_cannot_fit() {
-        let a = ArrayId(0);
         // 3 loads per iteration, queue depth 2.
-        let spec = KernelSpec::new(
-            "wide",
-            vec![LoopLevel::upto(4)],
-            vec![ArrayDecl::zeroed("a", 16)],
-            vec![Stmt::store(
-                a,
-                Expr::var(0),
-                Expr::load(a, Expr::var(0))
-                    .add(Expr::load(a, Expr::var(0).add(Expr::lit(1))))
-                    .add(Expr::load(a, Expr::var(0).add(Expr::lit(2)))),
-            )],
-        )
-        .expect("valid");
-        let s = synthesize(&spec).expect("synth");
-        let cfg = LsqConfig {
-            load_depth: 2,
-            ..LsqConfig::dynamatic(2)
+        let s = synthesize(&extra::overlapped_pairs(4, 3)).expect("synth");
+        for cfg in policies() {
+            let cfg = LsqConfig {
+                load_depth: 2,
+                ..cfg
+            };
+            let err = Lsq::with_stats(s.interface.clone(), cfg).expect_err("must reject");
+            assert_eq!(
+                err,
+                LsqError::LoadQueueTooShallow {
+                    needed: 3,
+                    depth: 2
+                }
+            );
+        }
+    }
+
+    #[test]
+    fn type_name_tells_the_speculative_policy_apart() {
+        let s = synthesize(&extra::serial_reduction(4)).expect("synth");
+        let names = policies().map(|cfg| {
+            Lsq::with_stats(s.interface.clone(), cfg)
+                .expect("fits")
+                .0
+                .type_name()
+        });
+        assert_eq!(names, ["lsq", "lsq", "spec_lsq"]);
+    }
+
+    /// Asserts `faster` finishes the serial reduction in no more cycles
+    /// than `slower`, returning both runs' statistics.
+    fn assert_not_slower(faster: LsqConfig, slower: LsqConfig, why: &str) -> [LsqStats; 2] {
+        let spec = extra::serial_reduction(32);
+        let (fast, fast_stats) = run_lsq(&spec, faster);
+        let (slow, slow_stats) = run_lsq(&spec, slower);
+        let (f, s) = (fast.cycles, slow.cycles);
+        assert!(f <= s, "{why}: {f} vs {s} cycles");
+        [fast_stats, slow_stats]
+    }
+
+    #[test]
+    fn fast_allocation_is_not_slower() {
+        let why = "fast allocation [8] must not lose to plain Dynamatic [15]";
+        assert_not_slower(LsqConfig::fast(16), LsqConfig::dynamatic(16), why);
+    }
+
+    #[test]
+    fn speculative_allocation_is_not_slower_than_fast_lsq() {
+        // The point of the design: with allocation off the critical path,
+        // the speculative LSQ must never lose to fast allocation [8].
+        let why = "speculative allocation must not lose to fast allocation";
+        let [_, fast] = assert_not_slower(LsqConfig::speculative(16), LsqConfig::fast(16), why);
+        assert_eq!(
+            fast.window_stall_cycles, 0,
+            "group allocation has no window"
+        );
+    }
+
+    #[test]
+    fn speculation_respects_the_window() {
+        // Window 1 degenerates to confirmation-paced allocation: still
+        // correct, just slower.
+        let narrow = LsqConfig {
+            allocation: Allocation::Speculative { window: 1 },
+            ..LsqConfig::speculative(16)
         };
-        let err = Lsq::new(s.interface, cfg).expect_err("must reject");
-        assert!(matches!(
-            err,
-            LsqError::LoadQueueTooShallow {
-                needed: 3,
-                depth: 2
-            }
-        ));
+        let why = "wider speculation window must not be slower";
+        let [_, narrow] = assert_not_slower(LsqConfig::speculative(16), narrow, why);
+        assert!(narrow.window_stall_cycles > 0);
     }
 
     #[test]
     fn deeper_queue_is_not_slower() {
-        let spec = reduction();
-        let (_, d4) = run_lsq(&spec, LsqConfig::fast(4));
-        let (_, d16) = run_lsq(&spec, LsqConfig::fast(16));
-        assert!(
-            d16.cycles <= d4.cycles,
-            "deeper LSQ must not be slower: {} vs {}",
-            d16.cycles,
-            d4.cycles
-        );
+        let why = "deeper LSQ must not be slower";
+        assert_not_slower(LsqConfig::fast(16), LsqConfig::fast(4), why);
     }
 }

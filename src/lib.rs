@@ -36,16 +36,23 @@
 
 use std::fmt;
 
+use prevv_dataflow::Component;
+
 pub mod diffcheck;
 
 pub use prevv_analyze::{
     AnalyzeError, AnalyzeOptions, CircuitOptions, ControllerModel, Diagnostic, Report, Severity,
 };
 pub use prevv_area::{ControllerKind, DesignReport, Resources};
-pub use prevv_core::{PrevvConfig, PrevvError, PrevvMemory, PrevvStats, SquashEvent};
+pub use prevv_core::{
+    PrevvConfig, PrevvError, PrevvMemory, PrevvStats, SharedPrevvStats, SharedSquashLog,
+    SquashEvent,
+};
 pub use prevv_dataflow::{Scheduler, SimConfig, SimError, SimReport, Simulator, Value};
-pub use prevv_ir::{KernelError, KernelSpec, SynthOptions};
-pub use prevv_mem::{Lsq, LsqConfig, LsqError, LsqStats, MemTiming, SpecLsq, SpecLsqConfig};
+pub use prevv_ir::{KernelError, KernelSpec, SynthOptions, SynthesizedKernel};
+pub use prevv_mem::{
+    Allocation, Lsq, LsqConfig, LsqError, LsqStats, MemTiming, SharedLsqStats, SharedRam,
+};
 
 /// Static analysis (lints) over kernels.
 pub use prevv_analyze as analyze;
@@ -77,7 +84,8 @@ pub enum Controller {
         /// Load/store queue depth.
         depth: usize,
     },
-    /// Speculative-allocation LSQ (Szafarczyk et al., FPL'23).
+    /// Speculative-allocation LSQ (Szafarczyk et al., FPL'23):
+    /// [`Allocation::Speculative`].
     SpecLsq {
         /// Load/store queue depth (also the speculation window).
         depth: usize,
@@ -95,6 +103,17 @@ impl Controller {
             Controller::FastLsq { .. } => "[8]".into(),
             Controller::SpecLsq { depth } => format!("spec{depth}"),
             Controller::Prevv(c) => format!("PreVV{}", c.depth),
+        }
+    }
+
+    /// The LSQ configuration this controller attaches (`None` for the
+    /// direct and PreVV controllers).
+    pub fn lsq_config(&self) -> Option<LsqConfig> {
+        match self {
+            Controller::Dynamatic { depth } => Some(LsqConfig::dynamatic(*depth)),
+            Controller::FastLsq { depth } => Some(LsqConfig::fast(*depth)),
+            Controller::SpecLsq { depth } => Some(LsqConfig::speculative(*depth)),
+            Controller::Direct | Controller::Prevv(_) => None,
         }
     }
 
@@ -205,7 +224,9 @@ pub struct RunResult {
     pub prevv: Option<PrevvStats>,
     /// LSQ-specific statistics (when the controller is an LSQ).
     pub lsq: Option<LsqStats>,
-    /// Every squash the arbiter detected (PreVV only; empty otherwise).
+    /// One event per violation the arbiter detected (PreVV only; empty
+    /// otherwise). Violations in the same cycle merge into one squash, so
+    /// the log can be longer than [`SimReport::squashes`].
     pub squash_log: Vec<SquashEvent>,
     /// Did the final memory match the golden model?
     pub matches_golden: bool,
@@ -249,55 +270,80 @@ pub fn run_kernel_with(
     synth_opts: &SynthOptions,
     sim_config: &SimConfig,
 ) -> Result<RunResult, RunError> {
-    let mut synth = prevv_ir::synthesize_with(spec, synth_opts)?;
-    let controller_name = controller.name();
-    let mut prevv_stats = None;
-    let mut lsq_stats = None;
-    let mut squash_log = None;
-    let ram = match &controller {
+    let synth = prevv_ir::synthesize_with(spec, synth_opts)?;
+    simulate(spec, synth, &controller, sim_config)
+}
+
+/// A controller attached to a synthesized kernel: its RAM plus whichever
+/// statistics and squash-log handles it keeps. Every handle stays readable
+/// after the netlist moves into a [`Simulator`].
+#[derive(Debug, Clone)]
+pub struct Attached {
+    /// The RAM the controller reads and writes.
+    pub ram: SharedRam,
+    /// PreVV statistics (PreVV only).
+    pub prevv: Option<SharedPrevvStats>,
+    /// LSQ statistics (LSQs only).
+    pub lsq: Option<SharedLsqStats>,
+    /// The arbiter's violation log (PreVV only).
+    pub squash_log: Option<SharedSquashLog>,
+}
+
+/// Builds `controller` over `synth`'s memory interface, with the stock RAM
+/// timing, and adds it to the netlist.
+///
+/// # Errors
+///
+/// Returns [`RunError::Lsq`] or [`RunError::Prevv`] if the controller's
+/// queues cannot hold one iteration's operations.
+pub fn attach(
+    synth: &mut SynthesizedKernel,
+    controller: &Controller,
+) -> Result<Attached, RunError> {
+    let iface = synth.interface.clone();
+    let (mut prevv, mut lsq, mut squash_log) = (None, None, None);
+    let ram = match controller {
         Controller::Direct => {
-            let (ctrl, ram) =
-                prevv_mem::DirectMemory::new(synth.interface.clone(), MemTiming::default());
+            let (ctrl, ram) = prevv_mem::DirectMemory::new(iface, MemTiming::default());
             synth.netlist.add("mem", ctrl);
             ram
         }
-        Controller::Dynamatic { depth } => {
-            let (ctrl, ram, stats) =
-                Lsq::with_stats(synth.interface.clone(), LsqConfig::dynamatic(*depth))?;
-            synth.netlist.add("lsq", ctrl);
-            lsq_stats = Some(stats);
-            ram
-        }
-        Controller::FastLsq { depth } => {
-            let (ctrl, ram, stats) =
-                Lsq::with_stats(synth.interface.clone(), LsqConfig::fast(*depth))?;
-            synth.netlist.add("lsq", ctrl);
-            lsq_stats = Some(stats);
-            ram
-        }
-        Controller::SpecLsq { depth } => {
-            let (ctrl, ram, stats) = prevv_mem::SpecLsq::with_stats(
-                synth.interface.clone(),
-                prevv_mem::SpecLsqConfig::speculative(*depth),
-            )?;
-            synth.netlist.add("spec_lsq", ctrl);
-            lsq_stats = Some(stats);
+        Controller::Dynamatic { .. } | Controller::FastLsq { .. } | Controller::SpecLsq { .. } => {
+            let config = controller.lsq_config().expect("an LSQ controller");
+            let (ctrl, ram, stats) = Lsq::with_stats(iface, config)?;
+            synth.netlist.add(ctrl.type_name(), ctrl);
+            lsq = Some(stats);
             ram
         }
         Controller::Prevv(config) => {
-            let (ctrl, ram, stats) =
-                PrevvMemory::new(synth.interface.clone(), config.clone(), synth.bus.clone())?;
+            let (ctrl, ram, stats) = PrevvMemory::new(iface, config.clone(), synth.bus.clone())?;
             squash_log = Some(ctrl.squash_log());
             synth.netlist.add("prevv", ctrl);
-            prevv_stats = Some(stats);
+            prevv = Some(stats);
             ram
         }
     };
+    Ok(Attached {
+        ram,
+        prevv,
+        lsq,
+        squash_log,
+    })
+}
 
+/// Attaches `controller` to `synth`, simulates to quiescence and compares
+/// against the golden model.
+fn simulate(
+    spec: &KernelSpec,
+    mut synth: SynthesizedKernel,
+    controller: &Controller,
+    sim_config: &SimConfig,
+) -> Result<RunResult, RunError> {
+    let attached = attach(&mut synth, controller)?;
     let mut sim = Simulator::new(synth.netlist, synth.bus)?.with_config(sim_config.clone());
     let report = sim.run()?;
 
-    let ram = ram.borrow();
+    let ram = attached.ram.borrow();
     let arrays: Vec<Vec<Value>> = synth
         .interface
         .split_ram(ram.image())
@@ -309,18 +355,22 @@ pub fn run_kernel_with(
 
     Ok(RunResult {
         kernel: spec.name.clone(),
-        controller: controller_name,
+        controller: controller.name(),
         arrays,
         report,
-        prevv: prevv_stats.map(|s| *s.borrow()),
-        lsq: lsq_stats.map(|s| *s.borrow()),
-        squash_log: squash_log.map(|l| l.borrow().clone()).unwrap_or_default(),
+        prevv: attached.prevv.map(|s| *s.borrow()),
+        lsq: attached.lsq.map(|s| *s.borrow()),
+        squash_log: attached
+            .squash_log
+            .map(|l| l.borrow().clone())
+            .unwrap_or_default(),
         matches_golden,
     })
 }
 
 /// Runs the kernel *and* prices the design: the full Table II data point
-/// (cycles, clock period, execution time) plus Table I resources.
+/// (cycles, clock period, execution time) plus Table I resources. The
+/// kernel is synthesized once: priced first, then simulated.
 ///
 /// # Errors
 ///
@@ -335,7 +385,7 @@ pub fn evaluate(spec: &KernelSpec, controller: Controller) -> Result<Evaluation,
             clock_period_ns: prevv_area::calib::CP_BASE_NS,
         },
     };
-    let run = run_kernel(spec, controller)?;
+    let run = simulate(spec, synth, &controller, &SimConfig::default())?;
     let exec_time_us = run.report.cycles as f64 * design.clock_period_ns / 1000.0;
     Ok(Evaluation {
         run,
@@ -441,6 +491,34 @@ mod tests {
             let r = run_kernel(&spec, ctrl).expect("runs");
             assert!(r.matches_golden, "{name} diverged from golden");
         }
+    }
+
+    #[test]
+    fn attach_returns_each_controllers_handles() {
+        let spec = extra::histogram(16, 8, 1);
+        for (ctrl, node) in [
+            (Controller::Direct, ("mem", "direct_memory")),
+            (Controller::Dynamatic { depth: 16 }, ("lsq", "lsq")),
+            (Controller::FastLsq { depth: 16 }, ("lsq", "lsq")),
+            (Controller::SpecLsq { depth: 16 }, ("spec_lsq", "spec_lsq")),
+            (
+                Controller::Prevv(PrevvConfig::prevv16()),
+                ("prevv", "prevv_memory"),
+            ),
+        ] {
+            let mut synth = prevv_ir::synthesize(&spec).expect("synth");
+            let nodes = synth.netlist.node_count();
+            let a = attach(&mut synth, &ctrl).expect("fits");
+            let (_, label, comp) = synth.netlist.iter().nth(nodes).expect("one node added");
+            assert_eq!((label, comp.type_name()), node, "{}", ctrl.name());
+            assert_eq!(a.lsq.is_some(), ctrl.lsq_config().is_some());
+            let is_prevv = matches!(ctrl, Controller::Prevv(_));
+            assert_eq!(a.prevv.is_some(), is_prevv);
+            assert_eq!(a.squash_log.is_some(), is_prevv);
+        }
+        let mut synth = prevv_ir::synthesize(&spec).expect("synth");
+        let err = attach(&mut synth, &Controller::SpecLsq { depth: 0 }).expect_err("too shallow");
+        assert!(matches!(err, RunError::Lsq(_)));
     }
 
     #[test]

@@ -10,6 +10,7 @@ fn controllers() -> Vec<(&'static str, Controller)> {
     vec![
         ("dynamatic16", Controller::Dynamatic { depth: 16 }),
         ("fast_lsq16", Controller::FastLsq { depth: 16 }),
+        ("spec_lsq16", Controller::SpecLsq { depth: 16 }),
         ("prevv16", Controller::Prevv(PrevvConfig::prevv16())),
         ("prevv64", Controller::Prevv(PrevvConfig::prevv64())),
     ]
@@ -50,6 +51,43 @@ fn gaussian_all_controllers() {
 #[test]
 fn triangular_all_controllers() {
     check_all(paper::triangular(6));
+}
+
+/// Table II's simulated cycles at the default paper sizes, one row per
+/// kernel in `paper::all_default()` order, one column per controller in
+/// `table2` order: [15], [8], spec16, PreVV16, PreVV64.
+const TABLE2_CYCLES: [(&str, [u64; 5]); 5] = [
+    ("polyn_mult", [778, 777, 777, 797, 696]),
+    ("2mm", [1613, 1613, 1613, 2309, 1570]),
+    ("3mm", [2025, 2025, 2025, 3455, 2093]),
+    ("gaussian", [426, 426, 426, 632, 568]),
+    ("triangular", [768, 768, 768, 1198, 1101]),
+];
+
+#[test]
+fn table2_cycles_are_pinned() {
+    let columns = [
+        Controller::Dynamatic { depth: 16 },
+        Controller::FastLsq { depth: 16 },
+        Controller::SpecLsq { depth: 16 },
+        Controller::Prevv(PrevvConfig::prevv16()),
+        Controller::Prevv(PrevvConfig::prevv64()),
+    ];
+    for (spec, (kernel, pinned)) in paper::all_default().into_iter().zip(TABLE2_CYCLES) {
+        assert_eq!(spec.name, kernel);
+        let measured: Vec<u64> = columns
+            .iter()
+            .map(|ctrl| {
+                let r = run_kernel(&spec, ctrl.clone()).expect("runs");
+                assert!(r.matches_golden, "{kernel} under {}", ctrl.name());
+                r.report.cycles
+            })
+            .collect();
+        assert_eq!(
+            measured, pinned,
+            "{kernel}: [15], [8], spec16, PreVV16, PreVV64"
+        );
+    }
 }
 
 #[test]

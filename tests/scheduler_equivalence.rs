@@ -28,12 +28,40 @@ fn run(spec: &KernelSpec, config: PrevvConfig, scheduler: Scheduler) -> prevv::R
     .expect("simulation completes")
 }
 
+/// Asserts that counters describing the same squashes agree: the engine
+/// replays the iterations the controller counts when it posts each squash,
+/// and the log holds one event per violation (violations detected in one
+/// cycle merge into one squash).
+fn assert_counters_agree(r: &prevv::RunResult) {
+    let prevv = r.prevv.expect("PreVV stats");
+    let name = &r.kernel;
+    assert_eq!(
+        r.report.replayed_iters, prevv.replayed_iters,
+        "{name}: replays"
+    );
+    assert_eq!(r.report.squashes, prevv.squashes, "{name}: squashes");
+    assert_eq!(r.squash_log.len() as u64, prevv.violations, "{name}: log");
+    assert!(
+        prevv.squashes <= prevv.violations,
+        "{name}: merged squashes"
+    );
+    if prevv.squashes > 0 {
+        assert!(
+            prevv.replayed_iters > 0,
+            "{name}: squashed, replayed nothing"
+        );
+    }
+}
+
 /// Asserts the full observable outcome matches: engine report (cycles,
 /// transfers, stalls, squashes, replays, per-channel attribution), final
-/// memory, squash log, and golden verdict.
+/// memory, squash log, and golden verdict — and that each run's counters
+/// agree.
 fn assert_equivalent(spec: &KernelSpec, config: PrevvConfig) {
     let dense = run(spec, config.clone(), Scheduler::Dense);
     let event = run(spec, config, Scheduler::EventDriven);
+    assert_counters_agree(&dense);
+    assert_counters_agree(&event);
     if let Some(diff) = dense.report.diff(&event.report) {
         panic!("{}: schedulers disagree: {diff}", spec.name);
     }
@@ -85,6 +113,22 @@ fn schedulers_agree_under_squash_and_replay() {
         dense.report.squashes
     );
     assert_equivalent(&spec, config);
+}
+
+/// `kernels/histogram.pvk` under PreVV16 squashes, so it exercises the
+/// counter agreement `assert_equivalent` checks.
+#[test]
+fn schedulers_agree_on_the_histogram_file() {
+    let path = format!("{}/kernels/histogram.pvk", env!("CARGO_MANIFEST_DIR"));
+    let source = std::fs::read_to_string(&path).expect("read histogram.pvk");
+    let spec = prevv::ir::parse::parse_kernel("histogram", &source).expect("parse");
+    assert!(
+        run(&spec, PrevvConfig::prevv16(), Scheduler::EventDriven)
+            .report
+            .squashes
+            > 0
+    );
+    assert_equivalent(&spec, PrevvConfig::prevv16());
 }
 
 fn timing_strategy() -> impl Strategy<Value = MemTiming> {
