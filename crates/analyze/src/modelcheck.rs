@@ -307,6 +307,10 @@ pub struct ReplayOutcome {
     /// Livelock traces only: the state at `cycle_from` recurred exactly at
     /// the end of the trace (the cycle closes).
     pub cycle_closed: bool,
+    /// Some event of the trace is a §V-B-eliminated arrival whose
+    /// full-set verdict is a squash — the PV204 witness condition the
+    /// checker itself uses.
+    pub reduction_escape: bool,
 }
 
 /// Model-checks the PreVV protocol for `spec` under `opts`.
@@ -338,12 +342,18 @@ pub fn replay(
     let mut st = model.initial();
     let mut scratch = McState::hollow();
     let mut cycle_key = None;
+    let mut escaped = false;
     for (k, ev) in cex.events.iter().enumerate() {
         if Some(k) == cex.cycle_from {
             cycle_key = Some(st.key());
         }
         match model.try_step(&st, ev.op, &mut scratch) {
-            StepOutcome::Stepped { event, .. } => {
+            StepOutcome::Stepped {
+                event,
+                reduction_escape,
+                ..
+            } => {
+                escaped |= reduction_escape;
                 if event.kind != ev.kind || event.iter != ev.iter {
                     return Err(format!(
                         "event {}: expected {:?} of iteration {}, got {:?} of iteration {}",
@@ -379,6 +389,7 @@ pub fn replay(
         deadlock: !any && !model.is_success(&st),
         admission_blocked: adm,
         cycle_closed: cycle_key.is_some_and(|k| k == st.key()),
+        reduction_escape: escaped,
     })
 }
 

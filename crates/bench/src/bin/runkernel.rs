@@ -652,6 +652,13 @@ fn main() {
 
     println!("controller: {controller_name}");
     println!("simulation: {report}");
+    if args.stats {
+        println!(
+            "engine:     {} of {} cycles skipped",
+            sim.skipped_cycles(),
+            report.cycles
+        );
+    }
     if let Some(summary) = &perf {
         println!(
             "throughput: measured II {:.2} over {} iterations vs predicted II {:.2} \

@@ -188,6 +188,10 @@ pub struct PrevvMemory {
     /// costs predictor probes and premature-queue scans per cycle).
     /// Invalidated by any cycle that moves state, and by `flush`.
     hold_replay: Option<(u64, u64, u64)>,
+    /// Did the last commit take the quiet fast path? Backs
+    /// [`Component::quiet_horizon`]: the next commits take it too until a
+    /// read completes or one of our channels fires.
+    quiet: bool,
 }
 
 impl PrevvMemory {
@@ -255,6 +259,7 @@ impl PrevvMemory {
                 eval_dirty: true,
                 backlog: true,
                 hold_replay: None,
+                quiet: false,
             },
             ram,
             stats,
@@ -671,32 +676,13 @@ impl Component for PrevvMemory {
         // tests are pure functions of the fixpoint wires and committed
         // controller state, so both schedulers take the same path on the
         // same cycle.
+        self.quiet = false;
         if self.pending_squash.is_none() && !self.backlog && !self.trace && !self.io.any_fired(sig)
         {
             let quiet_inputs = !self.io.has_pending_inputs();
-            if (quiet_inputs || self.hold_replay.is_some()) && !self.reads.due() {
-                // Keep the port round-robin in lockstep with the slow path
-                // (process_inputs rotates once per commit).
-                let n = self.io.port_count();
-                if n > 0 {
-                    self.rr_start = (self.rr_start + 1) % n;
-                }
-                self.reads.tick_quiet();
-                self.cycles_seen += 1;
-                if !quiet_inputs {
-                    let (qf, ph, ch) = self.hold_replay.expect("guarded above");
-                    self.local.queue_full_stalls += qf;
-                    self.local.predictor_holds += ph;
-                    self.local.conservative_holds += ch;
-                    // The mirror is synced by every counter-moving path, so
-                    // patching the three hold counters is equivalent to (and
-                    // much cheaper than) a full publish.
-                    let mut s = self.stats.borrow_mut();
-                    s.queue_full_stalls = self.local.queue_full_stalls;
-                    s.predictor_holds = self.local.predictor_holds;
-                    s.conservative_holds = self.local.conservative_holds;
-                }
-                self.eval_dirty = false;
+            if (quiet_inputs || self.hold_replay.is_some()) && self.reads.quiet_ticks() > 0 {
+                self.advance_quiet(1);
+                self.quiet = true;
                 // Exactly the slow path's verdict for this cycle: counters
                 // and the stats mirror moved, but only the delay line is
                 // watchdog progress.
@@ -783,7 +769,48 @@ impl Component for PrevvMemory {
         self.eval_dirty || ticking || !self.reads.is_empty() || proto != proto_now
     }
 
+    /// After a quiet commit, every further commit without a fire of our
+    /// channels takes the quiet path again until a read completes: its
+    /// inputs (no squash, no backlog, the held or empty input FIFOs) are
+    /// untouched by that path.
+    fn quiet_horizon(&self) -> u64 {
+        if self.quiet {
+            self.reads.quiet_ticks()
+        } else {
+            0
+        }
+    }
+
+    /// The quiet fast path, `k` cycles at once: the RAM delay line counts
+    /// down, and with buffered inputs every head token stays held, so the
+    /// hold counters grow by the cached per-cycle deltas.
+    fn advance_quiet(&mut self, k: u64) {
+        // Keep the port round-robin in lockstep with the slow path
+        // (process_inputs rotates once per commit).
+        let n = self.io.port_count() as u64;
+        if n > 0 {
+            self.rr_start = ((self.rr_start as u64 + k % n) % n) as usize;
+        }
+        self.reads.advance(k);
+        self.cycles_seen += k;
+        if self.io.has_pending_inputs() {
+            let (qf, ph, ch) = self.hold_replay.expect("held inputs are replayed");
+            self.local.queue_full_stalls += k * qf;
+            self.local.predictor_holds += k * ph;
+            self.local.conservative_holds += k * ch;
+            // The mirror is synced by every counter-moving path, so
+            // patching the three hold counters is equivalent to (and much
+            // cheaper than) a full publish.
+            let mut s = self.stats.borrow_mut();
+            s.queue_full_stalls = self.local.queue_full_stalls;
+            s.predictor_holds = self.local.predictor_holds;
+            s.conservative_holds = self.local.conservative_holds;
+        }
+        self.eval_dirty = false;
+    }
+
     fn flush(&mut self, from_iter: u64) {
+        self.quiet = false;
         self.io.flush(from_iter);
         self.reads.flush_if(|p| p.tag.iter >= from_iter);
         // frontier <= from_iter and next_commit target < frontier are

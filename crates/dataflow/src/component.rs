@@ -88,6 +88,29 @@ pub trait Component {
         false
     }
 
+    /// How many cycles this component can be fast-forwarded right after its
+    /// last [`commit`](Component::commit): the promise is that each of the
+    /// next `k ≤ quiet_horizon()` commits in which none of its own channels
+    /// fires would return the last commit's value, change nothing
+    /// [`eval`](Component::eval) or [`is_idle`](Component::is_idle) reads,
+    /// post no squash, and that together they equal
+    /// [`advance_quiet(k)`](Component::advance_quiet).
+    ///
+    /// The event-driven engine asks every component it would commit next
+    /// after a cycle with no fire, no eval-visible change and no flush, and
+    /// skips the smallest horizon at once. Defaults to 0 (never skip), which
+    /// is always sound.
+    fn quiet_horizon(&self) -> u64 {
+        0
+    }
+
+    /// Applies `k` quiet commits at once; only called with
+    /// `k ≤ quiet_horizon()` (see there). The default no-op matches the
+    /// default horizon of 0.
+    fn advance_quiet(&mut self, k: u64) {
+        let _ = k;
+    }
+
     /// Drops all internally held tokens of iterations `>= from_iter`.
     ///
     /// Components that never hold tokens across cycles can rely on the

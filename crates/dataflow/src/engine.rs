@@ -35,6 +35,25 @@
 //! its owner would re-derive — the worklist converges to the same unique
 //! fixpoint the dense sweep computes from reset.
 //!
+//! ## Skipping quiet cycles
+//!
+//! A cycle in which nothing fired, no commit changed state `eval` reads
+//! and nothing flushed is *stable*: the next cycle starts from the same
+//! eval-visible state, so it reaches the same fixpoint, fires nothing
+//! again, and commits the same components (those that commit every cycle
+//! plus the restless ones). Under [`Scheduler::EventDriven`],
+//! [`Simulator::run`] then asks each of them for its
+//! [`quiet_horizon`](crate::Component::quiet_horizon) — how many such
+//! commits it can promise change nothing but internal countdowns — and
+//! advances the smallest horizon in one go via
+//! [`advance_quiet`](crate::Component::advance_quiet), adding the repeated
+//! stalls, recorder samples and idle cycles it skipped. A RAM wait of 200
+//! cycles becomes one call. The skip is clipped to the cycle budget and,
+//! when nothing is restless, to the watchdog, so timeouts and deadlocks
+//! are reported at the cycle single-stepping reports them.
+//! [`Simulator::step`] always advances one cycle and
+//! [`Scheduler::Dense`] never skips, so it stays the reference.
+//!
 //! The run ends when every component is idle (quiescence), when the cycle
 //! budget is exhausted, or when the no-progress watchdog declares deadlock —
 //! the condition the paper's fake tokens exist to prevent (§V-C).
@@ -62,7 +81,8 @@ pub enum Scheduler {
     Dense,
     /// Dirty-set worklist seeded by the components whose previous commit
     /// changed state, propagating wake-ups along the channel graph; wires
-    /// warm-start from the previous cycle's fixpoint.
+    /// warm-start from the previous cycle's fixpoint. [`Simulator::run`]
+    /// also skips runs of quiet cycles (see the module docs).
     #[default]
     EventDriven,
 }
@@ -140,6 +160,12 @@ pub struct Simulator {
     snap_in: Vec<bool>,
     /// Scratch list of the channels that fired this cycle.
     fired_scratch: Vec<usize>,
+    /// Did the last cycle leave the next one's fixpoint unchanged — nothing
+    /// fired, no commit seeded a re-evaluation, nothing flushed — under the
+    /// event scheduler? Only then may [`run`](Simulator::run) skip cycles.
+    stable: bool,
+    /// Cycles advanced by quiet-horizon skips rather than single steps.
+    skipped: u64,
 }
 
 impl Simulator {
@@ -201,6 +227,8 @@ impl Simulator {
             snap_out: Vec::new(),
             snap_in: Vec::new(),
             fired_scratch: Vec::new(),
+            stable: false,
+            skipped: 0,
         })
     }
 
@@ -229,6 +257,14 @@ impl Simulator {
     /// Current cycle number.
     pub fn cycle(&self) -> u64 {
         self.cycle
+    }
+
+    /// Cycles the event scheduler skipped in [`run`](Simulator::run)
+    /// instead of stepping them one by one (always 0 under
+    /// [`Scheduler::Dense`]). Kept out of [`SimReport`], which must not
+    /// depend on the scheduler.
+    pub fn skipped_cycles(&self) -> u64 {
+        self.skipped
     }
 
     /// Read access to the simulated netlist.
@@ -333,8 +369,68 @@ impl Simulator {
             self.idle_streak += 1;
         }
 
+        // Nothing fired, nothing eval reads changed, nothing flushed: the
+        // next cycle's event fixpoint has no seeds and repeats these wires.
+        self.stable = self.config.scheduler == Scheduler::EventDriven
+            && fired == 0
+            && self.seed_list.is_empty()
+            && !flushed;
         self.cycle += 1;
         Ok(())
+    }
+
+    /// Next-event time advance: after a stable cycle, skips as many cycles
+    /// as every component the next commit phase would commit promises to be
+    /// quiet ([`Component::quiet_horizon`]), clipped to the cycle budget
+    /// and, when no component is restless, to the watchdog. Returns the
+    /// number of cycles skipped (0 when any horizon is 0).
+    ///
+    /// Each skipped cycle would repeat the last fixpoint (no seeds), fire
+    /// nothing, commit exactly the same components with the same verdicts,
+    /// and stall the same channels, so the skip applies all of that `k`
+    /// times in one go and leaves every counter where `k` single
+    /// [`step`](Simulator::step)s would.
+    fn skip_quiet(&mut self) -> u64 {
+        if !self.stable {
+            return 0;
+        }
+        let mut k = self.config.max_cycles.saturating_sub(self.cycle);
+        let mut restless = false;
+        let comps = self.netlist.components();
+        for (i, comp) in comps.iter().enumerate() {
+            if self.fire_driven[i] && !self.restless[i] {
+                continue;
+            }
+            restless |= self.restless[i];
+            k = k.min(comp.quiet_horizon());
+            if k == 0 {
+                return 0;
+            }
+        }
+        // With nothing restless every skipped cycle is an idle one.
+        if !restless {
+            k = k.min(self.config.watchdog.saturating_sub(self.idle_streak));
+            if k == 0 {
+                return 0;
+            }
+            self.idle_streak += k;
+        }
+        let comps = self.netlist.components_mut();
+        for (i, comp) in comps.iter_mut().enumerate() {
+            if !self.fire_driven[i] || self.restless[i] {
+                comp.advance_quiet(k);
+            }
+        }
+        let stalled = self.signals.repeat_stalls(&mut self.channel_stalls, k);
+        self.stall_cycles += k * stalled;
+        if let Some(rec) = &mut self.recorder {
+            for _ in 0..k {
+                rec.sample(&self.signals);
+            }
+        }
+        self.cycle += k;
+        self.skipped += k;
+        k
     }
 
     /// Reference fixpoint: reset all wires, sweep every component until
@@ -454,8 +550,9 @@ impl Simulator {
         self.signals.take_changed();
         let channels = self.signals.take_recorded();
         // The warm-start wires are garbage now; any further step (a caller
-        // ignoring the error) must rebuild densely.
+        // ignoring the error) must rebuild densely, and nothing may skip.
         self.dense_next = true;
+        self.stable = false;
         SimError::CombinationalCycle {
             cycle: self.cycle,
             channels,
@@ -499,6 +596,11 @@ impl Simulator {
     ///   tokens remain in flight (e.g. the premature queue deadlock of paper
     ///   §V-C when fake tokens are disabled);
     /// * [`SimError::Timeout`] — the cycle budget ran out.
+    ///
+    /// Under [`Scheduler::EventDriven`] runs of quiet cycles are skipped
+    /// rather than stepped (see [`skipped_cycles`](Simulator::skipped_cycles));
+    /// the report, the errors and the cycle they name are the ones
+    /// single-stepping gives.
     pub fn run(&mut self) -> Result<SimReport, SimError> {
         while !self.quiescent() {
             if self.cycle >= self.config.max_cycles {
@@ -506,7 +608,9 @@ impl Simulator {
                     max_cycles: self.config.max_cycles,
                 });
             }
-            self.step()?;
+            if self.skip_quiet() == 0 {
+                self.step()?;
+            }
             if self.idle_streak >= self.config.watchdog {
                 return Err(SimError::Deadlock {
                     cycle: self.cycle,
@@ -564,6 +668,7 @@ impl std::fmt::Debug for Simulator {
 mod tests {
     use super::*;
     use crate::components::{BinOp, BinaryAlu, Buffer, Constant, Fork, IterSource, Sink};
+    use crate::ChannelId;
 
     /// Builds `out = (i + 1) * i` for i in 0..n and collects the results.
     fn arithmetic_circuit(
@@ -719,6 +824,209 @@ mod tests {
         for w in ranking.windows(2) {
             assert!(w[0].1 >= w[1].1);
         }
+    }
+
+    /// A one-token stage that holds each token for `latency` cycles behind
+    /// a countdown `eval` cannot see — the shape of a RAM delay line — and
+    /// is committed every cycle. It reports a quiet horizon while it only
+    /// counts down or sits stuck.
+    struct SlowEcho {
+        input: ChannelId,
+        output: ChannelId,
+        latency: u64,
+        /// The token being delayed and its remaining countdown.
+        held: Option<(Token, u64)>,
+        /// The token waiting to leave.
+        out: Option<Token>,
+        /// Did the last commit change nothing but the countdown?
+        quiet: bool,
+    }
+
+    impl SlowEcho {
+        fn new(latency: u64, input: ChannelId, output: ChannelId) -> Self {
+            SlowEcho {
+                input,
+                output,
+                latency,
+                held: None,
+                out: None,
+                quiet: false,
+            }
+        }
+    }
+
+    impl crate::Component for SlowEcho {
+        fn type_name(&self) -> &'static str {
+            "slow_echo"
+        }
+        fn ports(&self) -> Ports {
+            Ports::new(vec![self.input], vec![self.output])
+        }
+        fn eval(&self, sig: &mut Signals) {
+            if let Some(t) = self.out {
+                sig.drive(self.output, t);
+            }
+            sig.accept_if(self.input, self.held.is_none() && self.out.is_none());
+        }
+        fn commit(&mut self, sig: &Signals) -> bool {
+            self.quiet = false;
+            if sig.fired(self.output) {
+                self.out = None;
+                return true;
+            }
+            if let Some(t) = sig.taken(self.input) {
+                self.held = Some((t, self.latency));
+                return true;
+            }
+            match &mut self.held {
+                Some((t, 1)) => {
+                    self.out = Some(*t);
+                    self.held = None;
+                    true
+                }
+                Some((_, n)) => {
+                    *n -= 1;
+                    self.quiet = true;
+                    true
+                }
+                None => {
+                    self.quiet = true;
+                    false
+                }
+            }
+        }
+        fn eval_invalidated(&self) -> bool {
+            !self.quiet
+        }
+        fn quiet_horizon(&self) -> u64 {
+            match (self.quiet, self.held) {
+                (false, _) => 0,
+                (true, Some((_, n))) => n - 1,
+                (true, None) => u64::MAX,
+            }
+        }
+        fn advance_quiet(&mut self, k: u64) {
+            if let Some((_, n)) = &mut self.held {
+                *n -= k;
+            }
+        }
+        fn is_idle(&self) -> bool {
+            self.held.is_none() && self.out.is_none()
+        }
+        fn occupancy(&self) -> usize {
+            usize::from(self.held.is_some()) + usize::from(self.out.is_some())
+        }
+    }
+
+    /// `src → slow(latency) → sink` over `n` iterations; the sink either
+    /// collects or, with `starve`, sits behind a join whose other input
+    /// never arrives. Returns the netlist, its bus and every channel.
+    fn slow_circuit(n: i64, latency: u64, starve: bool) -> (Netlist, SquashBus, Vec<ChannelId>) {
+        use crate::components::Join;
+        let mut net = Netlist::new();
+        let bus = SquashBus::new();
+        let a = net.channel();
+        let b = net.channel();
+        let rows = (0..n).map(|i| vec![i]).collect();
+        net.add("src", IterSource::new(rows, vec![a], bus.clone()));
+        net.add("slow", SlowEcho::new(latency, a, b));
+        if starve {
+            let c = net.channel();
+            let out = net.channel();
+            net.add("src_c", IterSource::new(vec![], vec![c], bus.clone()));
+            net.add("join", Join::new(vec![b, c], out));
+            net.add("sink", Sink::new(vec![out]));
+        } else {
+            net.add("sink", Sink::new(vec![b]));
+        }
+        let channels = (0..net.channel_count())
+            .map(ChannelId::from_index)
+            .collect();
+        (net, bus, channels)
+    }
+
+    /// What a run of `slow_circuit` exposes.
+    struct SlowRun {
+        outcome: Result<SimReport, SimError>,
+        /// The report at the end, also when the run failed.
+        report: SimReport,
+        cycle: u64,
+        skipped: u64,
+        /// Every channel's waveform.
+        traces: Vec<Vec<crate::trace::ChannelEvent>>,
+    }
+
+    /// Runs `slow_circuit` (40-cycle countdown) to its end under `config`
+    /// with every channel traced.
+    fn run_slow(n: i64, starve: bool, config: SimConfig) -> SlowRun {
+        let (net, bus, channels) = slow_circuit(n, 40, starve);
+        let mut sim = Simulator::new(net, bus).expect("valid").with_config(config);
+        sim.attach_recorder(TraceRecorder::new(channels.clone()));
+        let outcome = sim.run();
+        let rec = sim.take_recorder().expect("attached");
+        SlowRun {
+            outcome,
+            report: sim.report(),
+            cycle: sim.cycle(),
+            skipped: sim.skipped_cycles(),
+            traces: channels
+                .iter()
+                .map(|&ch| rec.trace(ch).expect("watched").events().to_vec())
+                .collect(),
+        }
+    }
+
+    /// Asserts that the event run ends exactly where the dense one does.
+    fn assert_same_end(dense: &SlowRun, event: &SlowRun) {
+        assert_eq!(event.outcome, dense.outcome, "same verdict");
+        assert_eq!(event.report, dense.report);
+        assert_eq!(event.cycle, dense.cycle);
+        assert_eq!(event.traces, dense.traces, "traces differ");
+        assert_eq!(dense.skipped, 0, "the dense reference never skips");
+    }
+
+    fn both(max_cycles: u64, watchdog: u64) -> [SimConfig; 2] {
+        [Scheduler::Dense, Scheduler::EventDriven].map(|scheduler| SimConfig {
+            max_cycles,
+            watchdog,
+            scheduler,
+        })
+    }
+
+    #[test]
+    fn quiet_runs_are_skipped_with_identical_outcome_and_traces() {
+        let [dense, event] = both(100_000, 1_000).map(|c| run_slow(5, false, c));
+        assert_same_end(&dense, &event);
+        assert!(dense.report.cycles > 5 * 40 && dense.outcome.is_ok());
+        // Each token spends 38 of its 40 countdown cycles skipped.
+        assert!(event.skipped >= 5 * 38, "skipped only {}", event.skipped);
+    }
+
+    #[test]
+    fn timeout_inside_a_quiet_run_matches_dense() {
+        // Cycle 25 falls inside the first token's 40-cycle countdown.
+        let [dense, event] = both(25, 1_000).map(|c| run_slow(5, false, c));
+        assert_same_end(&dense, &event);
+        assert!(matches!(
+            dense.outcome,
+            Err(SimError::Timeout { max_cycles: 25 })
+        ));
+        assert_eq!(dense.cycle, 25);
+        assert!(event.skipped > 0, "the budget must clip a skip");
+    }
+
+    #[test]
+    fn deadlock_after_a_quiet_run_matches_dense_exactly() {
+        // The echoed token waits on a join that never fires: after the
+        // countdown nothing is restless, so the watchdog clips the skip.
+        let [dense, event] = both(100_000, 50).map(|c| run_slow(1, true, c));
+        assert_same_end(&dense, &event);
+        assert!(
+            matches!(&dense.outcome, Err(SimError::Deadlock { .. })),
+            "{:?}",
+            dense.outcome
+        );
+        assert!(event.skipped > 0, "the watchdog window must be skipped too");
     }
 
     #[test]

@@ -274,6 +274,24 @@ impl Signals {
         (fired, stalled)
     }
 
+    /// Replays the stall half of [`sample_cycle`](Signals::sample_cycle)
+    /// for `k` cycles with these wires: adds `k` to `stall_counts[ch]` for
+    /// every stalled channel and returns the number of stalled channels
+    /// (per cycle). Used when the engine skips cycles whose wires are known
+    /// to repeat this fixpoint.
+    pub(crate) fn repeat_stalls(&self, stall_counts: &mut [u64], k: u64) -> u64 {
+        let mut stalled = 0;
+        for (w, (v, r)) in self.valid.iter().zip(&self.ready).enumerate() {
+            let mut st = v & !r;
+            stalled += st.count_ones() as u64;
+            while st != 0 {
+                stall_counts[(w << 6) | st.trailing_zeros() as usize] += k;
+                st &= st - 1;
+            }
+        }
+        stalled
+    }
+
     /// True when any channel in `mask` (a packed bitmap as produced by
     /// [`fired_mask`](Signals::fired_mask)) fired this cycle. The mask may
     /// be shorter than the channel space; missing words are treated as zero.
@@ -363,6 +381,9 @@ mod tests {
         assert_eq!(s.sample_cycle(&mut counts, &mut fired), (1, 1));
         assert_eq!(fired, vec![0]);
         assert_eq!(counts, vec![0, 1, 0], "stalled = valid && !ready");
+        // Replaying k cycles of the same wires adds k per stalled channel.
+        assert_eq!(s.repeat_stalls(&mut counts, 4), 1);
+        assert_eq!(counts, vec![0, 5, 0]);
     }
 
     #[test]

@@ -54,18 +54,28 @@ impl<T> DelayLine<T> {
         done
     }
 
-    /// True when at least one item would emerge on the next [`tick`]
-    /// (its countdown is already at most one).
-    pub fn due(&self) -> bool {
-        self.slots.iter().any(|(c, _)| *c <= 1)
+    /// How many [`tick`](DelayLine::tick)s in a row would complete nothing:
+    /// the smallest countdown minus one (`u64::MAX` when empty). Zero means
+    /// the next tick completes an item.
+    pub fn quiet_ticks(&self) -> u64 {
+        self.slots
+            .iter()
+            .map(|(c, _)| u64::from(c.saturating_sub(1)))
+            .min()
+            .unwrap_or(u64::MAX)
     }
 
-    /// Advances one cycle known (via [`due`](DelayLine::due)) to complete
-    /// nothing: pure countdown, no drain, no allocation.
-    pub fn tick_quiet(&mut self) {
-        debug_assert!(!self.due(), "tick_quiet would drop a completed item");
+    /// Advances `k` cycles known (via [`quiet_ticks`](DelayLine::quiet_ticks))
+    /// to complete nothing: pure countdown, no drain, no allocation.
+    pub fn advance(&mut self, k: u64) {
+        debug_assert!(
+            k <= self.quiet_ticks(),
+            "advance would drop a completed item"
+        );
+        // Only an occupied line bounds k, and then k fits a countdown.
+        let k = k as u32;
         for (c, _) in self.slots.iter_mut() {
-            *c = c.saturating_sub(1);
+            *c -= k;
         }
     }
 
@@ -111,6 +121,39 @@ mod tests {
         d.push(1, 1);
         d.push(1, 2);
         assert_eq!(d.tick(), vec![1, 2]);
+    }
+
+    #[test]
+    fn quiet_ticks_counts_ticks_that_complete_nothing() {
+        let mut d = DelayLine::new();
+        assert_eq!(d.quiet_ticks(), u64::MAX, "empty: never completes");
+        d.push(5, 'a');
+        d.push(3, 'b');
+        assert_eq!(d.quiet_ticks(), 2, "b completes on the third tick");
+        d.push(0, 'c');
+        assert_eq!(d.quiet_ticks(), 0, "latency 0 completes on the next tick");
+        d.push(1, 'd');
+        assert_eq!(d.quiet_ticks(), 0);
+    }
+
+    #[test]
+    fn advance_matches_single_ticks() {
+        let mut stepped = DelayLine::new();
+        stepped.push(7, 1);
+        stepped.push(4, 2);
+        let mut skipped = stepped.clone();
+        let k = skipped.quiet_ticks();
+        assert_eq!(k, 3);
+        for _ in 0..k {
+            assert!(stepped.tick().is_empty());
+        }
+        skipped.advance(k);
+        assert_eq!(skipped.quiet_ticks(), 0);
+        assert_eq!(stepped.slots, skipped.slots);
+        assert_eq!(skipped.tick(), vec![2]);
+        assert_eq!(skipped.quiet_ticks(), 2);
+        skipped.advance(0);
+        assert_eq!(skipped.quiet_ticks(), 2, "advance(0) is a no-op");
     }
 
     #[test]

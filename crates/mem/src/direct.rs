@@ -25,6 +25,9 @@ pub struct DirectMemory {
     /// Did the last commit mutate the io adapter — the only state `eval`
     /// reads? Backs [`Component::eval_invalidated`].
     eval_dirty: bool,
+    /// Did the last commit see none of our channels fire and move nothing
+    /// but delay-line countdowns? Backs [`Component::quiet_horizon`].
+    quiet: bool,
 }
 
 impl DirectMemory {
@@ -39,6 +42,7 @@ impl DirectMemory {
             reads: DelayLine::new(),
             writes: DelayLine::new(),
             eval_dirty: true,
+            quiet: false,
         };
         (ctrl, ram)
     }
@@ -65,11 +69,13 @@ impl Component for DirectMemory {
 
         // Completions first so a read pushed this cycle waits its full
         // latency.
-        for (port, addr, tag) in self.reads.tick() {
+        let (reads, writes) = (self.reads.tick(), self.writes.tick());
+        let completed = !reads.is_empty() || !writes.is_empty();
+        for (port, addr, tag) in reads {
             let value = self.ram.borrow_mut().read(addr);
             self.io.push_result(port, Token::tagged(value, tag));
         }
-        for (addr, value) in self.writes.tick() {
+        for (addr, value) in writes {
             self.ram.borrow_mut().write(addr, value);
         }
 
@@ -112,7 +118,23 @@ impl Component for DirectMemory {
             }
         }
         self.eval_dirty = self.io.take_dirty();
+        // Every fire and every RAM request dirties the io adapter, so a clean
+        // adapter and no completion mean only the countdowns moved.
+        self.quiet = !completed && !self.eval_dirty;
         self.eval_dirty || ticking
+    }
+
+    fn quiet_horizon(&self) -> u64 {
+        if self.quiet {
+            self.reads.quiet_ticks().min(self.writes.quiet_ticks())
+        } else {
+            0
+        }
+    }
+
+    fn advance_quiet(&mut self, k: u64) {
+        self.reads.advance(k);
+        self.writes.advance(k);
     }
 
     fn eval_invalidated(&self) -> bool {
@@ -121,6 +143,7 @@ impl Component for DirectMemory {
 
     fn flush(&mut self, from_iter: u64) {
         self.eval_dirty = true;
+        self.quiet = false;
         self.io.flush(from_iter);
         self.reads.flush_if(|(_, _, tag)| tag.iter >= from_iter);
         // Writes are not flushed: once issued they are architectural.

@@ -213,8 +213,9 @@ enum Allocator {
 }
 
 impl Allocator {
-    /// Feeds this cycle's allocation token, if any.
-    fn receive(&mut self, token: Option<Token>) {
+    /// Feeds this cycle's allocation token, if any. Returns whether a token
+    /// reached the ready queue.
+    fn receive(&mut self, token: Option<Token>) -> bool {
         match self {
             Allocator::Group {
                 latency,
@@ -224,7 +225,10 @@ impl Allocator {
                 if let Some(t) = token {
                     delay.push(*latency, t);
                 }
-                ready.extend(delay.tick());
+                let arrived = delay.tick();
+                let any = !arrived.is_empty();
+                ready.extend(arrived);
+                any
             }
             // Confirmation tokens merely advance the speculation window;
             // they gate nothing else, which is the whole point of the
@@ -233,7 +237,23 @@ impl Allocator {
                 if token.is_some() {
                     *confirmed += 1;
                 }
+                false
             }
+        }
+    }
+
+    /// Ticks of the allocation delay line that complete nothing.
+    fn quiet_ticks(&self) -> u64 {
+        match self {
+            Allocator::Group { delay, .. } => delay.quiet_ticks(),
+            Allocator::Speculative { .. } => u64::MAX,
+        }
+    }
+
+    /// Counts the allocation delay line down `k` quiet ticks.
+    fn advance(&mut self, k: u64) {
+        if let Allocator::Group { delay, .. } = self {
+            delay.advance(k);
         }
     }
 
@@ -294,6 +314,12 @@ pub struct Lsq {
     /// Did the last commit mutate the io adapter — the only state `eval`
     /// reads? Backs [`Component::eval_invalidated`].
     eval_dirty: bool,
+    /// `Some((alloc_stall, window_stall))` when the last commit saw none of
+    /// our channels fire and moved nothing but delay-line countdowns: the
+    /// stall-counter deltas it added, which every following such commit
+    /// adds again until a delay line completes. Backs
+    /// [`Component::quiet_horizon`].
+    quiet: Option<(u64, u64)>,
 }
 
 impl Lsq {
@@ -350,6 +376,7 @@ impl Lsq {
                 stores_per_iter,
                 stats: stats_handle.clone(),
                 eval_dirty: true,
+                quiet: None,
             },
             ram,
             stats_handle,
@@ -593,10 +620,16 @@ impl Component for Lsq {
         // update below is bookkeeping and deliberately excluded).
         let ticking = self.alloc.backlog().1 || !self.reads.is_empty();
         let before = (self.lq.len(), self.sq.len(), self.alloc.progress());
+        let stalls_before = {
+            let s = self.stats.borrow();
+            (s.alloc_stall_cycles, s.window_stall_cycles)
+        };
         self.io.commit_io(sig);
 
         // Read completions (issued `read_latency` cycles ago).
-        for (port, iter, seq, value) in self.reads.tick() {
+        let completed = self.reads.tick();
+        let mut moved = !completed.is_empty();
+        for (port, iter, seq, value) in completed {
             if let Some(e) = self
                 .lq
                 .iter_mut()
@@ -609,10 +642,11 @@ impl Component for Lsq {
             }
         }
 
-        self.alloc.receive(self.io.take_alloc());
+        moved |= self.alloc.receive(self.io.take_alloc());
         self.allocate();
 
         self.ingest_arrivals();
+        let in_flight = self.reads.len();
         self.issue_loads();
         self.commit_stores();
         self.dealloc_loads();
@@ -620,11 +654,41 @@ impl Component for Lsq {
         stats.high_water = stats.high_water.max(self.lq.len() + self.sq.len());
 
         self.eval_dirty = self.io.take_dirty();
+        let after = (self.lq.len(), self.sq.len(), self.alloc.progress());
+        // Nothing but countdowns moved (a fire of our channels dirties the
+        // io adapter): the queues, the allocator and the adapter start the
+        // next cycle as they started this one, so a commit without fires
+        // repeats this one (same stalls, same verdict) until a delay line
+        // completes.
+        moved |= self.eval_dirty || before != after || self.reads.len() != in_flight;
+        self.quiet = (!moved).then(|| {
+            (
+                stats.alloc_stall_cycles - stalls_before.0,
+                stats.window_stall_cycles - stalls_before.1,
+            )
+        });
         self.eval_dirty
             || ticking
             || self.alloc.backlog().1
             || !self.reads.is_empty()
-            || before != (self.lq.len(), self.sq.len(), self.alloc.progress())
+            || before != after
+    }
+
+    fn quiet_horizon(&self) -> u64 {
+        if self.quiet.is_some() {
+            self.reads.quiet_ticks().min(self.alloc.quiet_ticks())
+        } else {
+            0
+        }
+    }
+
+    fn advance_quiet(&mut self, k: u64) {
+        let (alloc_stall, window_stall) = self.quiet.expect("only advanced when quiet");
+        self.reads.advance(k);
+        self.alloc.advance(k);
+        let mut stats = self.stats.borrow_mut();
+        stats.alloc_stall_cycles += k * alloc_stall;
+        stats.window_stall_cycles += k * window_stall;
     }
 
     fn eval_invalidated(&self) -> bool {
@@ -636,6 +700,7 @@ impl Component for Lsq {
         // normal operation; this keeps the component well-behaved if one
         // arrives.
         self.eval_dirty = true;
+        self.quiet = None;
         self.io.flush(from_iter);
         self.lq.retain(|e| e.iter < from_iter);
         self.sq.retain(|e| e.iter < from_iter);

@@ -93,3 +93,51 @@ fn pinned_opaque_rmw_collision_pair() {
     .expect("pinned spec validates");
     oracle_must_pass(&spec);
 }
+
+/// Kernel 256 of `runkernel --fuzz 300 --seed 0xPREVV`, shrunk: the checker
+/// emits a PV204 (reduction unsound) counterexample that replays but ends in
+/// no stuck state. The oracle must accept it on its reduction-escape
+/// witness, and the replay must report that witness.
+#[test]
+fn pinned_pv204_counterexample_is_witnessed() {
+    use prevv::analyze::{check_protocol, replay_counterexample, Code, ProtocolOptions};
+
+    let path = concat!(
+        env!("CARGO_MANIFEST_DIR"),
+        "/tests/fuzz_corpus/regress_pv204_witness.pvk"
+    );
+    let source = std::fs::read_to_string(path).expect("pinned reproducer exists");
+    let spec = prevv::ir::parse::parse_kernel("regress_pv204_witness", &source).expect("parses");
+
+    let opts = DiffOptions::default();
+    let verdict = check_kernel(&spec, &opts);
+    assert!(
+        verdict.counterexamples > 0,
+        "the reproducer must still draw a counterexample"
+    );
+    assert!(
+        verdict.passed(),
+        "oracle rejects a valid PV204 trace: {:?}",
+        verdict
+            .failures
+            .iter()
+            .map(ToString::to_string)
+            .collect::<Vec<_>>()
+    );
+
+    let mc = ProtocolOptions {
+        iterations: opts.mc_iterations,
+        max_states: opts.mc_max_states,
+        threads: 1,
+        ..ProtocolOptions::for_config(&prevv::PrevvConfig::prevv16())
+    };
+    let result = check_protocol(&spec, &mc).expect("checks");
+    let cex = result
+        .counterexamples
+        .iter()
+        .find(|c| c.code == Code::ReductionUnsound)
+        .expect("a PV204 counterexample");
+    let outcome = replay_counterexample(&spec, &mc, cex).expect("replays");
+    assert!(outcome.reduction_escape, "{outcome:?}");
+    assert!(!(outcome.deadlock || outcome.admission_blocked || outcome.cycle_closed));
+}

@@ -8,10 +8,15 @@
 
 use proptest::prelude::*;
 
+use prevv::dataflow::trace::{ChannelEvent, TraceRecorder};
+use prevv::dataflow::ChannelId;
+use prevv::kernels::gen::{generate, GenConfig};
 use prevv::kernels::{extra, paper};
+use prevv::mem::DirectMemory;
 use prevv::{
-    run_kernel_with, Controller, KernelSpec, MemTiming, PrevvConfig, Scheduler, SimConfig,
-    SynthOptions,
+    run_kernel_with, Controller, KernelSpec, Lsq, LsqConfig, LsqStats, MemTiming, PrevvConfig,
+    PrevvMemory, PrevvStats, Scheduler, SimConfig, SimError, SimReport, Simulator, SquashEvent,
+    SynthOptions, Value,
 };
 
 fn run(spec: &KernelSpec, config: PrevvConfig, scheduler: Scheduler) -> prevv::RunResult {
@@ -174,4 +179,221 @@ proptest! {
         prop_assert_eq!(&dense.squash_log, &event.squash_log);
         prop_assert!(dense.matches_golden);
     }
+}
+
+/// External-memory RAM timing: the regime where most cycles are quiet and
+/// the event scheduler skips them.
+const DRAM: MemTiming = MemTiming {
+    read_latency: 200,
+    write_latency: 100,
+    read_ports: 1,
+    write_ports: 1,
+};
+
+/// A memory subsystem with its RAM timing (the facade's [`Controller`]
+/// fixes the stock timing).
+#[derive(Debug, Clone)]
+enum Backend {
+    Prevv(PrevvConfig),
+    Lsq(LsqConfig),
+    Direct(MemTiming),
+}
+
+/// PreVV with forwarding on and off, the three LSQ allocation policies and
+/// the unprotected controller, all at `timing`, with queues deep enough
+/// for `spec`.
+fn backends(spec: &KernelSpec, timing: MemTiming) -> Vec<Backend> {
+    let depth = 16.max(spec.mem_ops_per_iter());
+    let prevv = |forwarding| {
+        let mut c = PrevvConfig::with_depth(depth);
+        c.forwarding = forwarding;
+        c.timing = timing;
+        Backend::Prevv(c)
+    };
+    let lsq = |c: LsqConfig| Backend::Lsq(LsqConfig { timing, ..c });
+    vec![
+        prevv(true),
+        prevv(false),
+        lsq(LsqConfig::dynamatic(depth)),
+        lsq(LsqConfig::fast(depth)),
+        lsq(LsqConfig::speculative(depth)),
+        Backend::Direct(timing),
+    ]
+}
+
+/// Everything a run exposes, plus the cycles the engine skipped.
+#[derive(Debug, PartialEq)]
+struct Outcome {
+    result: Result<SimReport, SimError>,
+    arrays: Vec<Vec<Value>>,
+    prevv: Option<PrevvStats>,
+    lsq: Option<LsqStats>,
+    squash_log: Vec<SquashEvent>,
+    /// Per-channel waveforms, when traced.
+    traces: Vec<Vec<ChannelEvent>>,
+    skipped: u64,
+}
+
+/// Simulates `spec` on `backend` under `scheduler`; with `traced`, every
+/// channel is recorded every cycle.
+fn run_backend(
+    spec: &KernelSpec,
+    backend: &Backend,
+    scheduler: Scheduler,
+    traced: bool,
+) -> Outcome {
+    let mut synth = prevv::ir::synthesize(spec).expect("synthesizes");
+    let iface = synth.interface.clone();
+    let (ram, prevv, lsq, log) = match backend {
+        Backend::Prevv(c) => {
+            let (ctrl, ram, stats) =
+                PrevvMemory::new(iface, c.clone(), synth.bus.clone()).expect("fits");
+            let log = ctrl.squash_log();
+            synth.netlist.add("prevv", ctrl);
+            (ram, Some(stats), None, Some(log))
+        }
+        Backend::Lsq(c) => {
+            let (ctrl, ram, stats) = Lsq::with_stats(iface, c.clone()).expect("fits");
+            synth.netlist.add("lsq", ctrl);
+            (ram, None, Some(stats), None)
+        }
+        Backend::Direct(t) => {
+            let (ctrl, ram) = DirectMemory::new(iface, *t);
+            synth.netlist.add("mem", ctrl);
+            (ram, None, None, None)
+        }
+    };
+    let channels: Vec<ChannelId> = if traced {
+        (0..synth.netlist.channel_count())
+            .map(ChannelId::from_index)
+            .collect()
+    } else {
+        Vec::new()
+    };
+    let mut sim = Simulator::new(synth.netlist, synth.bus)
+        .expect("valid netlist")
+        .with_config(SimConfig {
+            scheduler,
+            ..SimConfig::default()
+        });
+    sim.attach_recorder(TraceRecorder::new(channels.clone()));
+    let result = sim.run();
+    let recorder = sim.take_recorder().expect("attached");
+    let traces = channels
+        .iter()
+        .map(|&ch| recorder.trace(ch).expect("watched").events().to_vec())
+        .collect();
+    let arrays = synth
+        .interface
+        .split_ram(ram.borrow().image())
+        .into_iter()
+        .map(<[Value]>::to_vec)
+        .collect();
+    Outcome {
+        result,
+        arrays,
+        prevv: prevv.map(|s| *s.borrow()),
+        lsq: lsq.map(|s| *s.borrow()),
+        squash_log: log.map(|l| l.borrow().clone()).unwrap_or_default(),
+        traces,
+        skipped: sim.skipped_cycles(),
+    }
+}
+
+/// Dense and event runs of every long-latency backend must agree on the
+/// report (or error), final memory, squash log and controller statistics,
+/// and with `traced` on every channel's waveform.
+fn assert_equivalent_at_dram(spec: &KernelSpec, traced: bool) {
+    for backend in backends(spec, DRAM) {
+        let dense = run_backend(spec, &backend, Scheduler::Dense, traced);
+        let event = run_backend(spec, &backend, Scheduler::EventDriven, traced);
+        assert_eq!(dense.skipped, 0, "the dense reference never skips");
+        let event = Outcome {
+            skipped: 0,
+            ..event
+        };
+        assert_eq!(dense, event, "{}: {backend:?}", spec.name);
+    }
+}
+
+/// The stock kernels with 200/100-cycle RAM: long quiet runs that the
+/// event scheduler skips must leave every observable where single-stepping
+/// leaves it, controller statistics and channel traces included.
+#[test]
+fn schedulers_agree_at_long_latency_on_stock_kernels() {
+    let b: Vec<i64> = vec![3, 1, 4, 1, 5, 9, 2, 6, 5, 3, 5, 8, 9, 7, 9, 3];
+    let specs = [
+        extra::fig2a(16, b),
+        extra::fig2a(24, vec![0; 24]),
+        extra::guarded_update(24, 3),
+        extra::histogram(32, 8, 7),
+        extra::serial_reduction(12),
+        paper::polyn_mult(6),
+        paper::triangular(6),
+    ];
+    for spec in &specs {
+        assert_equivalent_at_dram(spec, true);
+    }
+}
+
+/// The eight `GenConfig::bench()` kernels of the `BENCH_sim.json` gen
+/// regime, at long latency.
+#[test]
+fn schedulers_agree_at_long_latency_on_bench_kernels() {
+    for i in 0..8 {
+        let spec = generate(
+            0x0e1e_5c70_ad89_5542u64.wrapping_add(i),
+            &GenConfig::bench(),
+        );
+        assert_equivalent_at_dram(&spec, false);
+    }
+}
+
+fn corpus_at_dram(shard: u64) {
+    for seed in (0..40).filter(|s| s % 2 == shard) {
+        assert_equivalent_at_dram(&generate(seed, &GenConfig::corpus()), false);
+    }
+}
+
+/// 40 `GenConfig::corpus()` kernels (guards, indirect and opaque
+/// addressing, multi-loop nests) at long latency, in two shards.
+#[test]
+fn schedulers_agree_at_long_latency_on_corpus_kernels_even() {
+    corpus_at_dram(0);
+}
+
+#[test]
+fn schedulers_agree_at_long_latency_on_corpus_kernels_odd() {
+    corpus_at_dram(1);
+}
+
+/// The skip is exact but must also happen: on the `BENCH_sim.json` dram
+/// kernel (fig2a, all-zero indices, n = 256, 200/100-cycle RAM) PreVV16
+/// and every LSQ spend nine in ten cycles waiting on RAM, and the event
+/// scheduler skips at least that share; the unprotected controller skips
+/// some. A deterministic count, so it gates exactly on any machine.
+#[test]
+fn quiet_cycles_are_skipped_on_the_dram_kernel() {
+    let spec = extra::fig2a(256, vec![0; 256]);
+    let mut prevv16 = PrevvConfig::with_depth(16);
+    prevv16.forwarding = false;
+    prevv16.timing = DRAM;
+    let lsq = |c: LsqConfig| Backend::Lsq(LsqConfig { timing: DRAM, ..c });
+    let gated = [
+        Backend::Prevv(prevv16),
+        lsq(LsqConfig::dynamatic(16)),
+        lsq(LsqConfig::fast(16)),
+        lsq(LsqConfig::speculative(16)),
+    ];
+    for backend in &gated {
+        let run = run_backend(&spec, backend, Scheduler::EventDriven, false);
+        let cycles = run.result.as_ref().expect("completes").cycles;
+        assert!(
+            run.skipped * 10 >= cycles * 9,
+            "{backend:?}: {} of {cycles} cycles skipped",
+            run.skipped
+        );
+    }
+    let direct = run_backend(&spec, &Backend::Direct(DRAM), Scheduler::EventDriven, false);
+    assert!(direct.skipped > 0, "direct skips nothing");
 }

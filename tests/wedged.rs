@@ -83,14 +83,21 @@ fn watchdog_catches_generated_premature_queue_deadlock() {
             spec.name
         );
 
-        // The dense reference sweep must reach the same verdict.
+        // The dense reference sweep must reach the same verdict, at the
+        // same cycle, with the same diagnostic.
         match run_kernel_with(
             &spec,
             controller.clone(),
             &starved,
             &sim_config(Scheduler::Dense),
         ) {
-            Err(RunError::Sim(SimError::Deadlock { .. })) => {}
+            Err(RunError::Sim(SimError::Deadlock {
+                cycle: dense_cycle,
+                detail: dense_detail,
+            })) => {
+                assert_eq!(dense_cycle, cycle, "{}: deadlock cycle", spec.name);
+                assert_eq!(dense_detail, detail, "{}: deadlock detail", spec.name);
+            }
             other => panic!(
                 "{}: dense scheduler disagrees on the wedge: {other:?}",
                 spec.name
