@@ -7,36 +7,10 @@ use prevv_core::sizing::{expr_latency, recommend_depth, PairTiming};
 use prevv_dataflow::Value;
 use prevv_ir::depend::{pair_distances, refine_pairs, Dependences, StaticMemOp, ENUM_LIMIT};
 use prevv_ir::symdep::{rect_bounds, AffineForm};
-use prevv_ir::{Expr, KernelSpec, MemOpKind, Span};
+use prevv_ir::{KernelSpec, MemOpKind, Span};
 
 use crate::diag::{Code, Diagnostic, Report};
 use crate::AnalyzeOptions;
-
-/// Evaluates an affine expression over one iteration-space row.
-///
-/// # Panics
-///
-/// Panics on `Load`/`Opaque` nodes — callers must filter with
-/// [`Expr::is_runtime_dependent`] first.
-fn eval_affine(e: &Expr, row: &[Value]) -> Value {
-    match e {
-        Expr::Const(v) => *v,
-        Expr::IndVar(l) => row[*l],
-        Expr::Binary(op, l, r) => op.apply(eval_affine(l, row), eval_affine(r, row)),
-        Expr::Load(..) | Expr::Opaque(..) => {
-            unreachable!("affine evaluation reached a runtime-dependent node")
-        }
-    }
-}
-
-/// True when the statement's guard passes (or it has none) for this row.
-/// Guards are affine by [`KernelSpec::validate`].
-fn guard_passes(spec: &KernelSpec, stmt: usize, row: &[Value]) -> bool {
-    match &spec.body[stmt].guard {
-        None => true,
-        Some(g) => eval_affine(g, row) != 0,
-    }
-}
 
 /// Source span of each static op, aligned with `ops` (the `k`-th op of a
 /// statement maps to [`prevv_ir::Stmt::op_span`] with that ordinal).
@@ -77,9 +51,9 @@ pub(crate) fn check_bounds(spec: &KernelSpec, deps: &Dependences, report: &mut R
         let len = spec.arrays[op.array.0].len as Value;
         let hit = space
             .iter()
-            .filter(|row| guard_passes(spec, op.stmt, row))
+            .filter(|row| spec.body[op.stmt].runs(row))
             .find_map(|row| {
-                let raw = eval_affine(&op.index, row);
+                let raw = op.index.eval_affine(row);
                 (raw < 0 || raw >= len).then_some((raw, row.clone()))
             });
         if let Some((raw, row)) = hit {
@@ -342,11 +316,11 @@ pub(crate) fn check_dead_stores(spec: &KernelSpec, deps: &Dependences, report: &
     let mut executed = vec![false; deps.ops.len()];
     for row in &space {
         for op in &deps.ops {
-            if !exact[op.array.0] || !guard_passes(spec, op.stmt, row) {
+            if !exact[op.array.0] || !spec.body[op.stmt].runs(row) {
                 continue;
             }
             executed[op.id] = true;
-            let addr = spec.resolve_index(op.array, eval_affine(&op.index, row));
+            let addr = spec.resolve_index(op.array, op.index.eval_affine(row));
             match op.kind {
                 MemOpKind::Load => {
                     if let Some(sid) = pending[op.array.0].remove(&addr) {

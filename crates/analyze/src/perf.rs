@@ -40,20 +40,24 @@
 //! turnaround, queue residency, squash replay) calibrated against the
 //! stock kernels; `tests/perf_soundness.rs` property-checks
 //! `ii_bound <= measured II` on randomized kernels.
+//!
+//! The memory-side terms replay the golden trace
+//! ([`prevv_ir::golden::execute`], the one kernel semantics): each store
+//! event enters a window of recent stores, and each load event
+//! is classified against it — same-iteration bypass, a racing store that
+//! squashes once per address, a resident store it forwards from, or a RAM
+//! round trip. Guard densities come from [`prevv_ir::Stmt::runs`]. Both
+//! enumerate the iteration space, so above [`ENUM_LIMIT`] iterations they
+//! fall back to sound defaults.
 
 use std::collections::HashSet;
 
 use prevv_core::PrevvConfig;
-use prevv_dataflow::{Netlist, Value};
-use prevv_ir::depend::{pair_distances, PairDistance};
+use prevv_dataflow::Netlist;
+use prevv_ir::depend::{pair_distances, PairDistance, ENUM_LIMIT};
 use prevv_ir::{ArrayId, Expr, KernelSpec, MemOpKind, SynthesizedKernel};
 
 use crate::diag::{json_string, Code, Diagnostic, Report, Suggestion};
-
-/// Iteration spaces larger than this are not enumerated; guard densities
-/// fall back to their sound defaults and the address-stream interpreter is
-/// skipped (matching `depend::pair_distances`' enumeration limit).
-const ENUM_LIMIT: usize = 4096;
 
 /// Cycles from a store's value arriving at the controller to a dependent
 /// load taking it through the premature-queue bypass — the forwarding
@@ -522,22 +526,8 @@ fn controller_graph(synth: &SynthesizedKernel, cfg: &PrevvConfig) -> MarkedGraph
 }
 
 // ---------------------------------------------------------------------------
-// Guard densities and the address-stream interpreter
+// Guard densities and the golden-trace replay
 // ---------------------------------------------------------------------------
-
-/// Evaluates an expression for one iteration row against a memory image.
-fn eval(spec: &KernelSpec, e: &Expr, row: &[Value], mem: &[Vec<Value>]) -> Value {
-    match e {
-        Expr::Const(v) => *v,
-        Expr::IndVar(l) => row[*l],
-        Expr::Binary(op, l, r) => op.apply(eval(spec, l, row, mem), eval(spec, r, row, mem)),
-        Expr::Opaque(f, x) => f.apply(eval(spec, x, row, mem)),
-        Expr::Load(a, idx) => {
-            let addr = spec.resolve_index(*a, eval(spec, idx, row, mem));
-            mem[a.0][addr]
-        }
-    }
-}
 
 /// Exact per-statement guard execution densities (1.0 for unguarded
 /// statements). `None` when the space is too large to enumerate.
@@ -547,19 +537,12 @@ fn guard_densities(spec: &KernelSpec) -> Option<Vec<f64>> {
     }
     let space = spec.iteration_space();
     let n = space.len().max(1);
-    let empty: Vec<Vec<Value>> = Vec::new();
     Some(
         spec.body
             .iter()
             .map(|stmt| match &stmt.guard {
                 None => 1.0,
-                Some(g) => {
-                    let taken = space
-                        .iter()
-                        .filter(|row| eval(spec, g, row, &empty) != 0)
-                        .count();
-                    taken as f64 / n as f64
-                }
+                Some(_) => space.iter().filter(|row| stmt.runs(row)).count() as f64 / n as f64,
             })
             .collect(),
     )
@@ -576,74 +559,55 @@ struct TraceStats {
     est_squashes: f64,
 }
 
-/// Replays the kernel's exact address streams (golden program order) and
-/// classifies every load against the controller's forwarding window. This
-/// is still *static* analysis — the kernel's address streams are fully
-/// determined by its spec — but it is average-case with respect to timing,
-/// so its outputs feed only the predicted interval, never the sound bound.
-/// `skew_iters` is the arrival-skew window (0 when the steady state is
-/// slow enough that racing stores always arrive first).
+/// Replays the kernel's exact address streams — the golden trace, in
+/// program order — and classifies every load against the controller's
+/// forwarding window. This is still *static* analysis — the kernel's
+/// address streams are fully determined by its spec — but it is
+/// average-case with respect to timing, so its outputs feed only the
+/// predicted interval, never the sound bound. `skew_iters` is the
+/// arrival-skew window (0 when the steady state is slow enough that racing
+/// stores always arrive first). A statement whose guard fails leaves no
+/// events: its fake token arrives and retires with no traffic.
 fn trace_memory(spec: &KernelSpec, cfg: &PrevvConfig, skew_iters: u64) -> Option<TraceStats> {
     if spec.iteration_count() > ENUM_LIMIT {
         return None;
     }
     let ops = spec.mem_ops_per_iter().max(1);
     let window = ((cfg.depth / ops).max(1)) as u64;
-    let mut mem: Vec<Vec<Value>> = spec.arrays.iter().map(|a| a.initial()).collect();
     // (iteration, array, address) of recent committed stores.
     let mut recent: Vec<(u64, usize, usize)> = Vec::new();
     let mut predictor: HashSet<(usize, usize)> = HashSet::new();
     let mut stats = TraceStats::default();
-    for (it, row) in spec.iteration_space().into_iter().enumerate() {
-        let it = it as u64;
+    for ev in prevv_ir::golden::execute(spec).trace {
+        let (it, array, addr) = (ev.iter, ev.array.0, ev.index);
         recent.retain(|&(j, _, _)| it.saturating_sub(j) <= window);
-        for stmt in &spec.body {
-            let taken = match &stmt.guard {
-                None => true,
-                Some(g) => eval(spec, g, &row, &mem) != 0,
-            };
-            if !taken {
-                continue; // a fake token: arrives and retires, no traffic
-            }
-            let loads: Vec<(ArrayId, &Expr)> = stmt
-                .index
-                .loads()
-                .into_iter()
-                .chain(stmt.value.loads())
-                .collect();
-            for (array, idx) in loads {
-                let addr = spec.resolve_index(array, eval(spec, idx, &row, &mem));
-                let key = (array.0, addr);
-                let hit = |lo: u64, hi: u64| {
-                    recent.iter().any(|&(j, a, ad)| {
-                        a == array.0 && ad == addr && {
-                            let d = it.saturating_sub(j);
-                            (lo..=hi).contains(&d) || (j == it && lo == 0)
-                        }
-                    })
-                };
-                if hit(0, 0) {
-                    // Same-iteration older store: the bypass always covers it.
-                } else if skew_iters > 0 && hit(1, skew_iters) {
-                    // The racing store has typically not arrived yet: the
-                    // first collision on this address reads RAM prematurely
-                    // and squashes; afterwards the predictor holds the load
-                    // and it forwards.
-                    if predictor.insert(key) {
-                        stats.est_squashes += 1.0;
-                        stats.ram_reads += 1.0;
-                    }
-                } else if cfg.forwarding && hit(skew_iters + 1, window) {
-                    // Resident older store: queue bypass, no RAM round-trip.
-                } else {
-                    stats.ram_reads += 1.0;
-                }
-            }
-            let addr = spec.resolve_index(stmt.array, eval(spec, &stmt.index, &row, &mem));
-            let value = eval(spec, &stmt.value, &row, &mem);
-            mem[stmt.array.0][addr] = value;
-            recent.push((it, stmt.array.0, addr));
+        if ev.kind == MemOpKind::Store {
+            recent.push((it, array, addr));
             stats.taken_stores += 1.0;
+            continue;
+        }
+        let hit = |lo: u64, hi: u64| {
+            recent.iter().any(|&(j, a, ad)| {
+                a == array && ad == addr && {
+                    let d = it.saturating_sub(j);
+                    (lo..=hi).contains(&d) || (j == it && lo == 0)
+                }
+            })
+        };
+        if hit(0, 0) {
+            // Same-iteration older store: the bypass always covers it.
+        } else if skew_iters > 0 && hit(1, skew_iters) {
+            // The racing store has typically not arrived yet: the first
+            // collision on this address reads RAM prematurely and squashes;
+            // afterwards the predictor holds the load and it forwards.
+            if predictor.insert((array, addr)) {
+                stats.est_squashes += 1.0;
+                stats.ram_reads += 1.0;
+            }
+        } else if cfg.forwarding && hit(skew_iters + 1, window) {
+            // Resident older store: queue bypass, no RAM round-trip.
+        } else {
+            stats.ram_reads += 1.0;
         }
     }
     Some(stats)

@@ -667,47 +667,27 @@ impl Component for PrevvMemory {
         // must not count, or a wedged circuit would never trip the watchdog.
         let ticking = !self.reads.is_empty();
 
-        // Quiet-cycle fast paths: none of our channels fired and no squash
-        // or commit/retire backlog is pending. Two tiers: (a) the input
-        // FIFOs are empty, so only the RAM delay line can move; (b) inputs
-        // are buffered but every head token proved held on the last slow
-        // cycle (`hold_replay`) and nothing a hold reads has changed since,
-        // so the stall counters are replayed instead of re-derived. Both
-        // tests are pure functions of the fixpoint wires and committed
-        // controller state, so both schedulers take the same path on the
-        // same cycle.
-        self.quiet = false;
-        if self.pending_squash.is_none() && !self.backlog && !self.trace && !self.io.any_fired(sig)
-        {
-            let quiet_inputs = !self.io.has_pending_inputs();
-            if (quiet_inputs || self.hold_replay.is_some()) && self.reads.quiet_ticks() > 0 {
-                self.advance_quiet(1);
-                self.quiet = true;
-                // Exactly the slow path's verdict for this cycle: counters
-                // and the stats mirror moved, but only the delay line is
-                // watchdog progress.
-                return ticking;
-            }
-            if quiet_inputs {
-                // Completions are due (each pushes a result into the io
-                // adapter); run the pipeline on them. There are no pending
-                // inputs, so process_inputs stays a no-op and is skipped.
-                let n = self.io.port_count();
-                if n > 0 {
-                    self.rr_start = (self.rr_start + 1) % n;
-                }
-                self.cycles_seen += 1;
-                self.process_read_completions();
-                self.advance_frontier();
-                self.commit_stores();
-                let retired = self.retire();
-                self.note_backlog(retired);
-                self.post_squash();
-                self.publish_stats();
-                self.hold_replay = None;
-                self.eval_dirty = self.io.take_dirty();
-                return true;
-            }
+        // Quiet-cycle fast path: none of our channels fired, no squash or
+        // commit/retire backlog is pending, and no RAM read completes this
+        // cycle. Two tiers: (a) the input FIFOs are empty, so only the RAM
+        // delay line can move; (b) inputs are buffered but every head token
+        // proved held on the last slow cycle (`hold_replay`) and nothing a
+        // hold reads has changed since, so the stall counters are replayed
+        // instead of re-derived. Both tests are pure functions of the
+        // fixpoint wires and committed controller state, so both schedulers
+        // take the same path on the same cycle.
+        self.quiet = self.pending_squash.is_none()
+            && !self.backlog
+            && !self.trace
+            && !self.io.any_fired(sig)
+            && (!self.io.has_pending_inputs() || self.hold_replay.is_some())
+            && self.reads.quiet_ticks() > 0;
+        if self.quiet {
+            self.advance_quiet(1);
+            // Exactly the slow path's verdict for this cycle: counters and
+            // the stats mirror moved, but only the delay line is watchdog
+            // progress.
+            return ticking;
         }
 
         let stalls = (

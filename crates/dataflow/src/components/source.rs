@@ -158,10 +158,12 @@ pub enum Bound {
 }
 
 impl Bound {
-    fn resolve(self, outer: &[Value]) -> Value {
+    /// The bound's value under the enclosing induction variables `outer`;
+    /// `None` when `outer[level] + offset` overflows.
+    fn resolve(self, outer: &[Value]) -> Option<Value> {
         match self {
-            Bound::Const(c) => c,
-            Bound::OuterPlus(level, off) => outer[level] + off,
+            Bound::Const(c) => Some(c),
+            Bound::OuterPlus(level, off) => outer[level].checked_add(off),
         }
     }
 }
@@ -216,8 +218,8 @@ pub fn iteration_space(levels: &[LoopLevel]) -> Vec<Vec<Value>> {
             rows.push(current.clone());
             return;
         }
-        let lo = levels[depth].lo.resolve(current);
-        let hi = levels[depth].hi.resolve(current);
+        let bound = |b: Bound| b.resolve(current).expect("loop bound overflows");
+        let (lo, hi) = (bound(levels[depth].lo), bound(levels[depth].hi));
         let mut v = lo;
         while v < hi {
             current.push(v);
@@ -230,42 +232,48 @@ pub fn iteration_space(levels: &[LoopLevel]) -> Vec<Vec<Value>> {
     rows
 }
 
-/// Counts the iterations of a loop nest without materializing the rows.
+/// Counts the iterations of a loop nest without materializing the rows;
+/// `None` when the count, or a loop bound on the way, does not fit.
 ///
 /// For a rectangular nest (all bounds [`Bound::Const`]) this is a product of
 /// extents and runs in O(levels), so static analyses can size 10^6+-iteration
-/// spaces cheaply; triangular nests fall back to a recursive count that still
-/// avoids allocating one `Vec` per iteration.
-pub fn count_iterations(levels: &[LoopLevel]) -> usize {
+/// spaces cheaply; triangular nests fall back to a recursive count over the
+/// outer levels that still avoids allocating one `Vec` per iteration.
+pub fn count_iterations(levels: &[LoopLevel]) -> Option<usize> {
+    fn extent(lo: Value, hi: Value) -> Option<usize> {
+        usize::try_from(hi.checked_sub(lo)?.max(0)).ok()
+    }
     let rectangular = levels
         .iter()
         .all(|l| matches!((l.lo, l.hi), (Bound::Const(_), Bound::Const(_))));
     if rectangular {
-        return levels
+        let extents = levels
             .iter()
-            .map(|l| {
-                let (lo, hi) = (l.lo.resolve(&[]), l.hi.resolve(&[]));
-                (hi - lo).max(0) as usize
-            })
-            .product();
-    }
-    fn recurse(levels: &[LoopLevel], depth: usize, current: &mut Vec<Value>) -> usize {
-        if depth == levels.len() {
-            return 1;
+            .map(|l| extent(l.lo.resolve(&[])?, l.hi.resolve(&[])?))
+            .collect::<Option<Vec<usize>>>()?;
+        if extents.contains(&0) {
+            return Some(0);
         }
-        let lo = levels[depth].lo.resolve(current);
-        let hi = levels[depth].hi.resolve(current);
-        let mut total = 0;
-        let mut v = lo;
-        while v < hi {
+        return extents.into_iter().try_fold(1usize, usize::checked_mul);
+    }
+    fn recurse(levels: &[LoopLevel], current: &mut Vec<Value>) -> Option<usize> {
+        let Some(level) = levels.get(current.len()) else {
+            return Some(1);
+        };
+        let (lo, hi) = (level.lo.resolve(current)?, level.hi.resolve(current)?);
+        if current.len() + 1 == levels.len() {
+            return extent(lo, hi);
+        }
+        let mut total = 0usize;
+        for v in lo..hi {
             current.push(v);
-            total += recurse(levels, depth + 1, current);
+            let inner = recurse(levels, current)?;
             current.pop();
-            v += 1;
+            total = total.checked_add(inner)?;
         }
-        total
+        Some(total)
     }
-    recurse(levels, 0, &mut Vec::with_capacity(levels.len()))
+    recurse(levels, &mut Vec::with_capacity(levels.len()))
 }
 
 #[cfg(test)]
@@ -385,7 +393,7 @@ mod tests {
             &[LoopLevel::upto(0), LoopLevel::upto(5)],
         ];
         for nest in nests {
-            assert_eq!(count_iterations(nest), iteration_space(nest).len());
+            assert_eq!(count_iterations(nest), Some(iteration_space(nest).len()));
         }
     }
 
@@ -396,7 +404,33 @@ mod tests {
             LoopLevel::upto(1_000),
             LoopLevel::upto(1_000),
         ];
-        assert_eq!(count_iterations(&nest), 1_000_000_000);
+        assert_eq!(count_iterations(&nest), Some(1_000_000_000));
+    }
+
+    #[test]
+    fn count_reports_overflow_instead_of_wrapping() {
+        let trips = 10_000_000_000;
+        let huge = [LoopLevel::upto(trips), LoopLevel::upto(trips)];
+        assert_eq!(count_iterations(&huge[..1]), Some(trips as usize));
+        assert_eq!(count_iterations(&huge), None);
+        // An empty level makes the product empty, however large the rest.
+        let empty = [
+            LoopLevel::upto(trips),
+            LoopLevel::upto(0),
+            LoopLevel::upto(trips),
+        ];
+        assert_eq!(count_iterations(&empty), Some(0));
+        // A bound that overflows `Value`, rectangular or triangular.
+        let wide = [LoopLevel::new(
+            Bound::Const(Value::MIN),
+            Bound::Const(Value::MAX),
+        )];
+        assert_eq!(count_iterations(&wide), None);
+        let shifted = [
+            LoopLevel::new(Bound::Const(Value::MAX - 1), Bound::Const(Value::MAX)),
+            LoopLevel::new(Bound::OuterPlus(0, 2), Bound::Const(Value::MAX)),
+        ];
+        assert_eq!(count_iterations(&shifted), None);
     }
 
     #[test]

@@ -156,7 +156,7 @@ pub fn analyze(spec: &KernelSpec) -> Dependences {
                 Some(
                     space
                         .iter()
-                        .map(|row| spec.resolve_index(op.array, eval_affine(&op.index, row)))
+                        .map(|row| spec.resolve_index(op.array, op.index.eval_affine(row)))
                         .collect(),
                 )
             }
@@ -219,11 +219,11 @@ fn enumerated_min_distance(
 ) -> Option<u64> {
     let laddrs: Vec<usize> = space
         .iter()
-        .map(|row| spec.resolve_index(load.array, eval_affine(&load.index, row)))
+        .map(|row| spec.resolve_index(load.array, load.index.eval_affine(row)))
         .collect();
     let saddrs: Vec<usize> = space
         .iter()
-        .map(|row| spec.resolve_index(store.array, eval_affine(&store.index, row)))
+        .map(|row| spec.resolve_index(store.array, store.index.eval_affine(row)))
         .collect();
     let mut best: Option<u64> = None;
     for (i1, &la) in laddrs.iter().enumerate() {
@@ -359,17 +359,6 @@ pub fn refine_pairs(spec: &KernelSpec, deps: &Dependences) -> Refinement {
         }
     }
     Refinement { pairs, bypassed }
-}
-
-fn eval_affine(e: &Expr, row: &[Value]) -> Value {
-    match e {
-        Expr::Const(v) => *v,
-        Expr::IndVar(l) => row[*l],
-        Expr::Binary(op, l, r) => op.apply(eval_affine(l, row), eval_affine(r, row)),
-        Expr::Load(..) | Expr::Opaque(..) => {
-            unreachable!("runtime-dependent indices are filtered before evaluation")
-        }
-    }
 }
 
 #[cfg(test)]

@@ -141,6 +141,42 @@ impl Expr {
         }
     }
 
+    /// Evaluates the expression over one iteration-space `row` — the one
+    /// concrete semantics of the kernel language. Memory is abstracted as
+    /// `load(array, raw_index)`: each [`Expr::Load`] evaluates its index
+    /// first and then calls `load` with the unreduced index, so the calls
+    /// arrive in [`Expr::loads`] order, which is the port `seq` order.
+    pub fn eval(&self, row: &[Value], load: &mut impl FnMut(ArrayId, Value) -> Value) -> Value {
+        match self {
+            Expr::Const(v) => *v,
+            Expr::IndVar(l) => row[*l],
+            Expr::Load(a, idx) => {
+                let raw = idx.eval(row, load);
+                load(*a, raw)
+            }
+            Expr::Binary(op, l, r) => {
+                let lv = l.eval(row, load);
+                op.apply(lv, r.eval(row, load))
+            }
+            Expr::Opaque(f, x) => f.apply(x.eval(row, load)),
+        }
+    }
+
+    /// Evaluates a memory-free expression (an affine index or a guard).
+    ///
+    /// # Panics
+    ///
+    /// Panics on an [`Expr::Load`]; callers filter with
+    /// [`Expr::is_runtime_dependent`] first, and [`KernelSpec::validate`]
+    /// rejects guards that read memory.
+    ///
+    /// [`KernelSpec::validate`]: crate::KernelSpec::validate
+    pub fn eval_affine(&self, row: &[Value]) -> Value {
+        self.eval(row, &mut |a, _| {
+            panic!("memory-free evaluation reached a load from {a}")
+        })
+    }
+
     /// True if the expression depends on memory or opaque functions, i.e.
     /// its value is not a static affine function of the induction variables.
     pub fn is_runtime_dependent(&self) -> bool {
@@ -223,6 +259,48 @@ mod tests {
         assert_eq!(loads[0].0, b, "inner index load first (depth-first)");
         assert_eq!(loads[1].0, a);
         assert_eq!(loads[2].0, b);
+    }
+
+    #[test]
+    fn eval_visits_loads_in_canonical_order() {
+        // a[b[c[i]]] + d[i] (and a binary index) — `eval` must call `load`
+        // in exactly `loads()` order, passing each unreduced index.
+        let (a, b, c, d) = (ArrayId(0), ArrayId(1), ArrayId(2), ArrayId(3));
+        let nested = Expr::load(a, Expr::load(b, Expr::load(c, Expr::var(0))))
+            .add(Expr::load(d, Expr::var(0)));
+        let binary = Expr::load(
+            a,
+            Expr::load(b, Expr::var(1)).sub(Expr::load(c, Expr::lit(4))),
+        )
+        .mul(Expr::load(d, Expr::var(0).opaque(OpaqueFn::new(5, 9))));
+        let row = [3, 7];
+        let mut memory = |arr: ArrayId, raw: Value| 100 * arr.0 as Value + raw;
+        for e in [nested, binary] {
+            let mut calls = Vec::new();
+            let v = e.eval(&row, &mut |arr, raw| {
+                calls.push((arr, raw));
+                memory(arr, raw)
+            });
+            let expected: Vec<(ArrayId, Value)> = e
+                .loads()
+                .into_iter()
+                .map(|(arr, idx)| (arr, idx.eval(&row, &mut memory)))
+                .collect();
+            assert_eq!(calls, expected, "{e}");
+            assert_eq!(v, e.eval(&row, &mut memory));
+        }
+    }
+
+    #[test]
+    fn eval_affine_matches_eval_and_rejects_loads() {
+        let e = Expr::var(0)
+            .mul(Expr::lit(3))
+            .sub(Expr::var(1))
+            .opaque(OpaqueFn::new(1, 64));
+        let row = [5, -2];
+        assert_eq!(e.eval_affine(&row), OpaqueFn::new(1, 64).apply(17));
+        let load = Expr::load(ArrayId(0), Expr::var(0));
+        assert!(std::panic::catch_unwind(|| load.eval_affine(&row)).is_err());
     }
 
     #[test]

@@ -9,8 +9,8 @@
 
 use prevv_dataflow::Value;
 
-use crate::expr::{ArrayId, Expr};
-use crate::kernel::{KernelSpec, Stmt};
+use crate::expr::ArrayId;
+use crate::kernel::KernelSpec;
 
 /// Whether a memory event reads or writes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -66,7 +66,7 @@ impl GoldenResult {
     }
 }
 
-/// Executes the kernel sequentially.
+/// Executes the kernel sequentially over its whole iteration space.
 ///
 /// The canonical intra-iteration order of memory operations is: for each
 /// statement in body order — index-expression loads (depth-first,
@@ -75,24 +75,59 @@ impl GoldenResult {
 /// are still reserved, so `seq` values match the synthesized circuit's port
 /// numbering exactly).
 pub fn execute(spec: &KernelSpec) -> GoldenResult {
+    execute_rows(spec, &spec.iteration_space())
+}
+
+/// Executes the kernel sequentially over `rows`, a prefix of its iteration
+/// space (iteration numbers in the trace are positions in `rows`).
+///
+/// This is the one concrete semantics of the kernel language: expressions
+/// are evaluated by [`Expr::eval`] with a load closure that reads the
+/// array image and records the event, guards by [`Stmt::runs`].
+///
+/// [`Expr::eval`]: crate::Expr::eval
+/// [`Stmt::runs`]: crate::Stmt::runs
+pub fn execute_rows(spec: &KernelSpec, rows: &[Vec<Value>]) -> GoldenResult {
     let mut arrays: Vec<Vec<Value>> = spec.arrays.iter().map(|a| a.initial()).collect();
     let mut trace = Vec::new();
     let mut guards_skipped = 0;
 
-    for (iter, row) in spec.iteration_space().into_iter().enumerate() {
+    for (iter, row) in rows.iter().enumerate() {
         let iter = iter as u64;
         let mut seq: u32 = 0;
         for stmt in &spec.body {
-            let taken = match &stmt.guard {
-                None => true,
-                Some(g) => eval_pure(g, &row) != 0,
-            };
-            if !taken {
+            if !stmt.runs(row) {
                 guards_skipped += 1;
                 seq += stmt.mem_op_count() as u32;
                 continue;
             }
-            exec_stmt(spec, stmt, &row, iter, &mut seq, &mut arrays, &mut trace);
+            let mut load = |array: ArrayId, raw: Value| {
+                let index = spec.resolve_index(array, raw);
+                let value = arrays[array.0][index];
+                trace.push(MemEvent {
+                    iter,
+                    seq,
+                    kind: MemOpKind::Load,
+                    array,
+                    index,
+                    value,
+                });
+                seq += 1;
+                value
+            };
+            let raw = stmt.index.eval(row, &mut load);
+            let value = stmt.value.eval(row, &mut load);
+            let index = spec.resolve_index(stmt.array, raw);
+            arrays[stmt.array.0][index] = value;
+            trace.push(MemEvent {
+                iter,
+                seq,
+                kind: MemOpKind::Store,
+                array: stmt.array,
+                index,
+                value,
+            });
+            seq += 1;
         }
     }
 
@@ -103,88 +138,11 @@ pub fn execute(spec: &KernelSpec) -> GoldenResult {
     }
 }
 
-fn exec_stmt(
-    spec: &KernelSpec,
-    stmt: &Stmt,
-    row: &[Value],
-    iter: u64,
-    seq: &mut u32,
-    arrays: &mut [Vec<Value>],
-    trace: &mut Vec<MemEvent>,
-) {
-    let idx_raw = eval(spec, &stmt.index, row, iter, seq, arrays, trace);
-    let value = eval(spec, &stmt.value, row, iter, seq, arrays, trace);
-    let index = spec.resolve_index(stmt.array, idx_raw);
-    arrays[stmt.array.0][index] = value;
-    trace.push(MemEvent {
-        iter,
-        seq: *seq,
-        kind: MemOpKind::Store,
-        array: stmt.array,
-        index,
-        value,
-    });
-    *seq += 1;
-}
-
-/// Evaluates an expression, recording loads in the trace.
-fn eval(
-    spec: &KernelSpec,
-    e: &Expr,
-    row: &[Value],
-    iter: u64,
-    seq: &mut u32,
-    arrays: &mut [Vec<Value>],
-    trace: &mut Vec<MemEvent>,
-) -> Value {
-    match e {
-        Expr::Const(v) => *v,
-        Expr::IndVar(l) => row[*l],
-        Expr::Load(a, idx) => {
-            let raw = eval(spec, idx, row, iter, seq, arrays, trace);
-            let index = spec.resolve_index(*a, raw);
-            let value = arrays[a.0][index];
-            trace.push(MemEvent {
-                iter,
-                seq: *seq,
-                kind: MemOpKind::Load,
-                array: *a,
-                index,
-                value,
-            });
-            *seq += 1;
-            value
-        }
-        Expr::Binary(op, l, r) => {
-            let lv = eval(spec, l, row, iter, seq, arrays, trace);
-            let rv = eval(spec, r, row, iter, seq, arrays, trace);
-            op.apply(lv, rv)
-        }
-        Expr::Opaque(f, x) => f.apply(eval(spec, x, row, iter, seq, arrays, trace)),
-    }
-}
-
-/// Evaluates a memory-free expression (guards).
-///
-/// # Panics
-///
-/// Panics on `Load`/`Opaque` nodes; [`KernelSpec::validate`] rejects such
-/// guards up front.
-fn eval_pure(e: &Expr, row: &[Value]) -> Value {
-    match e {
-        Expr::Const(v) => *v,
-        Expr::IndVar(l) => row[*l],
-        Expr::Binary(op, l, r) => op.apply(eval_pure(l, row), eval_pure(r, row)),
-        Expr::Load(..) | Expr::Opaque(..) => {
-            unreachable!("guards are validated to be affine")
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kernel::ArrayDecl;
+    use crate::expr::Expr;
+    use crate::kernel::{ArrayDecl, Stmt};
     use prevv_dataflow::components::BinOp;
     use prevv_dataflow::components::LoopLevel;
 
@@ -276,11 +234,32 @@ mod tests {
         .expect("valid");
         let g = execute(&k);
         assert_eq!(g.guards_skipped, 2);
+        // `Stmt::runs` is the guard semantics golden skips by.
+        let skipped = k
+            .iteration_space()
+            .iter()
+            .flat_map(|row| k.body.iter().map(move |s| s.runs(row)))
+            .filter(|&runs| !runs)
+            .count();
+        assert_eq!(skipped as u64, g.guards_skipped);
         assert_eq!(g.array(a), &[0, 0, 2, 0, 9, 9, 9, 9]);
         // Second statement's store is always seq 1 (stmt0 reserves seq 0).
         for e in g.trace.iter().filter(|e| e.index >= 4) {
             assert_eq!(e.seq, 1);
         }
+    }
+
+    #[test]
+    fn execute_rows_runs_a_prefix() {
+        let k = fig2a();
+        let space = k.iteration_space();
+        let full = execute(&k);
+        let prefix = execute_rows(&k, &space[..2]);
+        // i=0 and i=1 both bump a[2]; b[0] and b[1] gain 2.
+        assert_eq!(prefix.array(ArrayId(0)), &[0, 0, 2, 0, 0, 0, 0, 0]);
+        assert_eq!(prefix.array(ArrayId(1)), &[4, 4, 5, 2]);
+        assert_eq!(prefix.trace[..], full.trace[..prefix.trace.len()]);
+        assert_eq!(execute_rows(&k, &space), full);
     }
 
     #[test]

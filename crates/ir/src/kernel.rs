@@ -176,6 +176,13 @@ impl Stmt {
     pub fn mem_op_count(&self) -> usize {
         self.index.loads().len() + self.value.loads().len() + 1
     }
+
+    /// True when the statement executes in iteration `row`: it has no
+    /// guard, or its guard evaluates nonzero ([`Expr::eval_affine`]; guards
+    /// are memory-free by [`KernelSpec::validate`]).
+    pub fn runs(&self, row: &[Value]) -> bool {
+        self.guard.as_ref().is_none_or(|g| g.eval_affine(row) != 0)
+    }
 }
 
 /// A complete kernel: loop nest, arrays, and body.
@@ -223,6 +230,19 @@ pub enum KernelError {
     NoLoops,
     /// The kernel body is empty.
     EmptyBody,
+    /// The iteration count, or a loop bound on the way, overflows.
+    IterationCountOverflow,
+    /// The kernel is too large to synthesize: its iteration space or its
+    /// memory exceeds [`crate::synth::MAX_ITERATIONS`] or
+    /// [`crate::synth::MAX_RAM_WORDS`].
+    TooLarge {
+        /// What is counted (`"iterations"` or `"RAM words"`).
+        what: &'static str,
+        /// How many the kernel has.
+        size: usize,
+        /// The synthesis limit.
+        limit: usize,
+    },
 }
 
 impl std::fmt::Display for KernelError {
@@ -237,6 +257,12 @@ impl std::fmt::Display for KernelError {
             }
             KernelError::NoLoops => write!(f, "kernel has no loop levels"),
             KernelError::EmptyBody => write!(f, "kernel body is empty"),
+            KernelError::IterationCountOverflow => {
+                write!(f, "iteration count of the loop nest overflows")
+            }
+            KernelError::TooLarge { what, size, limit } => {
+                write!(f, "{size} {what} exceed the synthesis limit of {limit}")
+            }
         }
     }
 }
@@ -291,6 +317,7 @@ impl KernelSpec {
         if self.body.is_empty() {
             return Err(KernelError::EmptyBody);
         }
+        count_iterations(&self.levels).ok_or(KernelError::IterationCountOverflow)?;
         for (si, stmt) in self.body.iter().enumerate() {
             self.check_expr(&stmt.index)?;
             self.check_expr(&stmt.value)?;
@@ -340,9 +367,10 @@ impl KernelSpec {
     ///
     /// Computed without materializing the space, so it is cheap even for
     /// 10^6+-iteration nests that [`KernelSpec::iteration_space`] could not
-    /// reasonably enumerate.
+    /// reasonably enumerate. Saturates at `usize::MAX` for a nest whose
+    /// count overflows, which [`KernelSpec::validate`] rejects.
     pub fn iteration_count(&self) -> usize {
-        count_iterations(&self.levels)
+        count_iterations(&self.levels).unwrap_or(usize::MAX)
     }
 
     /// Memory operations per iteration (loads + stores over all statements,

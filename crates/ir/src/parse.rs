@@ -346,7 +346,9 @@ impl<'a> Parser<'a> {
         let off = if self.eat("+") {
             self.number()?
         } else if self.eat("-") {
-            -self.number()?
+            let n = self.number()?;
+            n.checked_neg()
+                .ok_or_else(|| self.error(format!("bound offset -({n}) overflows")))?
         } else {
             0
         };

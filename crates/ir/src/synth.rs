@@ -29,6 +29,19 @@ use crate::golden::MemOpKind;
 use crate::iface::{ArrayLayout, MemoryInterface, MemoryPort};
 use crate::kernel::{ArrayInit, KernelError, KernelSpec};
 
+/// Largest iteration space [`synthesize_with`] accepts. The iteration
+/// source holds one row per iteration, so synthesis materializes the whole
+/// space; 2^22 is about twice the simulator's default `max_cycles`
+/// (2,000,000), beyond which no run could finish at an initiation interval
+/// of one cycle anyway. Static analyses (`depend`, the PV0xx/PV5xx lints)
+/// never materialize the space and accept larger kernels.
+pub const MAX_ITERATIONS: usize = 1 << 22;
+
+/// Largest flat RAM (the sum of all array lengths, in words) that
+/// [`synthesize_with`] accepts; the memory interface holds every array's
+/// initial image.
+pub const MAX_RAM_WORDS: usize = 1 << 22;
+
 /// Synthesis options.
 #[derive(Debug, Clone)]
 pub struct SynthOptions {
@@ -86,7 +99,8 @@ pub struct SynthesizedKernel {
 ///
 /// # Errors
 ///
-/// Returns [`KernelError`] if the spec fails validation.
+/// Returns [`KernelError`] if the spec fails validation or exceeds
+/// [`MAX_ITERATIONS`] or [`MAX_RAM_WORDS`].
 pub fn synthesize(spec: &KernelSpec) -> Result<SynthesizedKernel, KernelError> {
     synthesize_with(spec, &SynthOptions::default())
 }
@@ -95,12 +109,25 @@ pub fn synthesize(spec: &KernelSpec) -> Result<SynthesizedKernel, KernelError> {
 ///
 /// # Errors
 ///
-/// Returns [`KernelError`] if the spec fails validation.
+/// Returns [`KernelError`] if the spec fails validation or exceeds
+/// [`MAX_ITERATIONS`] or [`MAX_RAM_WORDS`].
 pub fn synthesize_with(
     spec: &KernelSpec,
     opts: &SynthOptions,
 ) -> Result<SynthesizedKernel, KernelError> {
     spec.validate()?;
+    let words = spec
+        .arrays
+        .iter()
+        .fold(0usize, |n, a| n.saturating_add(a.len));
+    for (what, size, limit) in [
+        ("iterations", spec.iteration_count(), MAX_ITERATIONS),
+        ("RAM words", words, MAX_RAM_WORDS),
+    ] {
+        if size > limit {
+            return Err(KernelError::TooLarge { what, size, limit });
+        }
+    }
     let deps = analyze(spec);
     let refinement = if opts.bypass_safe_pairs {
         refine_pairs(spec, &deps)

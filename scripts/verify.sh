@@ -11,6 +11,12 @@ cargo build --release
 echo "==> cargo test -q"
 cargo test -q
 
+echo "==> benchmark package builds and passes its smoke tests"
+# benchmark/ is its own workspace, compiled against the public APIs of the
+# crates above (synthesis, controllers, the checker, the golden model);
+# building it here catches an API change that would break the benchmark.
+cargo test -q --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> differential fuzz oracle (200 generated kernels, pinned seed)"
 # Every generated kernel must agree byte-for-byte across the golden
 # interpreter, both schedulers, and all four memory subsystems, with
